@@ -21,7 +21,7 @@ the complete system in Python on top of a *simulated* RT device:
   with refit-aware scene maintenance;
 * :mod:`repro.partition` — the scale-out layer: spatial tiling with ε-halo
   ghost regions, shard-local clustering with an exact boundary merge, and
-  the shared serial/thread/process ``ParallelMap`` executor;
+  the shared serial/thread ``ParallelMap`` executor;
 * :mod:`repro.data`    — synthetic equivalents of the paper's datasets and
   chunked stream generators;
 * :mod:`repro.perf` / :mod:`repro.metrics` / :mod:`repro.bench` — cost model,

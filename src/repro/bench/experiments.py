@@ -900,7 +900,7 @@ def run_experiment(
 
 
 def _run_approx_job(job: tuple) -> RunRecord:
-    """One approx-sweep cell; module-level so process executors can pickle it."""
+    """One approx-sweep cell."""
     algo, pts, eps, min_pts, label, cost_model, reference, knob = job
     kwargs = {"backend_kwargs": dict(knob)} if knob else {}
     return run_single(
@@ -915,7 +915,6 @@ def run_approx_experiment(
     scale: float = 1.0,
     cost_model=None,
     workers: int | ParallelMap | None = None,
-    executor_mode: str | None = None,
 ) -> list[RunRecord]:
     """Sweep the approximate backends over their knob ladders with agreement.
 
@@ -944,5 +943,5 @@ def run_approx_experiment(
             jobs.append(
                 (algo, pts, eps, min_pts, label, cost_model, spec.baseline, knob)
             )
-    executor = as_parallel_map(workers, mode=executor_mode)
+    executor = as_parallel_map(workers)
     return executor.map(_run_approx_job, jobs)

@@ -209,7 +209,7 @@ def _fill_from_result(record: RunRecord, result: DBSCANResult) -> None:
 
 
 def _run_sweep_job(job: tuple) -> RunRecord:
-    """One sweep cell; module-level so process executors can pickle it."""
+    """One sweep cell."""
     algo, pts, eps, min_pts, label, cost_model, kwargs = job
     return run_single(algo, pts, eps, min_pts, dataset=label, cost_model=cost_model, **kwargs)
 
@@ -220,7 +220,6 @@ def run_sweep(
     *,
     cost_model: DeviceCostModel | None = None,
     workers: int | ParallelMap | None = None,
-    executor_mode: str | None = None,
     **kwargs,
 ) -> list[RunRecord]:
     """Run every algorithm on every ``(label, points, eps, min_pts)`` config.
@@ -232,7 +231,7 @@ def run_sweep(
     by the strategy because every cell runs on its own simulated device.
     Records come back in the same order as the serial loop produced them.
     """
-    executor = as_parallel_map(workers, mode=executor_mode)
+    executor = as_parallel_map(workers)
     jobs = [
         (algo, pts, eps, min_pts, label, cost_model, kwargs)
         for label, pts, eps, min_pts in points_by_config

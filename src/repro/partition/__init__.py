@@ -3,7 +3,7 @@
 The scale-out decomposition for the RT-DBSCAN pipeline:
 
 * :mod:`repro.partition.executor` — :class:`ParallelMap`, the shared
-  serial/thread/process ordered-map executor used by tile fits and by the
+  serial/thread ordered-map executor used by tile fits and by the
   benchmark sweep runner;
 * :mod:`repro.partition.tiler` — :class:`Tiler` splits a dataset into
   spatial tiles with ε-halo ghost regions (plus the streaming slot-capacity

@@ -4,61 +4,42 @@ Every scale-out seam in this package — tile fits in
 :class:`~repro.partition.tiled.TiledRTDBSCAN`, benchmark configurations in
 :func:`repro.bench.runner.run_sweep` — reduces to "map a pure function over
 independent items and keep the results in input order".  :class:`ParallelMap`
-is that one abstraction with three interchangeable strategies:
+is that one abstraction, and the worker count alone picks its strategy:
 
-* ``"serial"``  — a plain loop in the calling thread.  The default
+* ``workers <= 1`` — a plain loop in the calling thread.  The default
   everywhere, because it keeps wall-clock timings deterministic and adds
   zero overhead for the common single-worker case.
-* ``"thread"``  — a ``ThreadPoolExecutor``.  The right choice for the
-  NumPy-heavy workloads here (the big array kernels release the GIL) and the
-  only concurrent mode that works with closures.
-* ``"process"`` — a ``ProcessPoolExecutor`` for truly CPU-bound Python.
-  The mapped function and its items must be picklable (module-level
-  functions over plain data), which the tile worker in
-  :mod:`repro.partition.tiled` is designed to satisfy.
+* ``workers > 1`` — a ``ThreadPoolExecutor``.  The heavy work here is NumPy
+  array kernels and the compiled native kernels, both of which release the
+  GIL, so threads overlap it without pickling anything.
 
 Results are always returned as a list in the order of the input items,
 regardless of completion order, so callers' outputs are independent of the
 execution strategy.  Exceptions raised by the mapped function propagate to
-the caller in all modes.
+the caller in both modes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from typing import Any, TypeVar
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
+from typing import TypeVar
 
-import numpy as np
-
-__all__ = ["ParallelMap", "as_parallel_map", "SharedNDArray", "SharedArrayPool", "as_ndarray"]
+__all__ = ["ParallelMap", "as_parallel_map"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_MODES = ("serial", "thread", "process")
-
-
-class _StarCall:
-    """Picklable argument-unpacking wrapper (a lambda would break processes)."""
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, args: Sequence[Any]) -> Any:
-        return self.fn(*args)
-
 
 class ParallelMap:
-    """Ordered map over independent items: serial, thread or process backed.
+    """Ordered map over independent items: serial, or thread backed.
 
     Parameters
     ----------
     workers:
         Degree of parallelism.  ``None``, ``0`` and ``1`` all mean "no
-        concurrency" and force serial execution regardless of ``mode``.
-    mode:
-        ``"serial"``, ``"thread"`` or ``"process"``.  With ``workers > 1``
-        and the default ``mode=None`` the thread strategy is used.
+        concurrency" (serial execution); larger counts run on that many
+        threads.
 
     Examples
     --------
@@ -68,190 +49,39 @@ class ParallelMap:
     ['0', '1', '2']
     """
 
-    def __init__(self, workers: int | None = None, mode: str | None = None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if mode is not None and mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        self.workers = int(workers) if workers else 1
-        if self.workers <= 1:
-            self.mode = "serial"
-        else:
-            self.mode = mode or "thread"
-        if self.mode == "serial":
-            self.workers = 1
+        self.workers = int(workers or 1)
 
     # ------------------------------------------------------------------ #
     @property
     def is_serial(self) -> bool:
-        return self.mode == "serial"
+        return self.workers == 1
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply ``fn`` to every item; results come back in input order."""
         items = list(items)
         if self.is_serial or len(items) <= 1:
             return [fn(item) for item in items]
-        if self.mode == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(fn, items))
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(fn, items))
 
-    def starmap(self, fn: Callable[..., _R], items: Iterable[Sequence[Any]]) -> list[_R]:
-        """Like :meth:`map` but unpacks each item as positional arguments.
-
-        Works in every mode: the unpacking wrapper is a picklable object,
-        so process pools accept it whenever ``fn`` itself is picklable.
-        """
-        return self.map(_StarCall(fn), items)
-
     def __repr__(self) -> str:
-        return f"ParallelMap(workers={self.workers}, mode={self.mode!r})"
+        return f"ParallelMap(workers={self.workers})"
 
 
-class SharedNDArray:
-    """A picklable handle to an ndarray stored in POSIX shared memory.
-
-    Pickling a :class:`SharedNDArray` serialises only the segment name,
-    dtype, shape and byte offset — a few dozen bytes — instead of the array
-    payload, so process pools receive big inputs (tile point sets) without
-    copying them through the pickle pipe.  Workers attach lazily on first
-    :meth:`asarray` call; the returned view is marked read-only because the
-    memory is shared between processes.
-
-    Instances are created by :class:`SharedArrayPool`, which owns the backing
-    segment and unlinks it when the fan-out completes.
-    """
-
-    def __init__(self, shm_name: str, dtype: str, shape: tuple, offset: int) -> None:
-        self.shm_name = shm_name
-        self.dtype = dtype
-        self.shape = tuple(shape)
-        self.offset = int(offset)
-        self._shm = None
-        self._view: np.ndarray | None = None
-
-    def __getstate__(self) -> dict:
-        return {
-            "shm_name": self.shm_name, "dtype": self.dtype,
-            "shape": self.shape, "offset": self.offset,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._shm = None
-        self._view = None
-
-    def asarray(self) -> np.ndarray:
-        """Attach (once) and return the read-only ndarray view."""
-        if self._view is None:
-            import multiprocessing as mp
-            from multiprocessing import shared_memory
-
-            # The creator owns the segment's lifetime, so this attach must
-            # not enrol it with a resource tracker that would try to clean
-            # it up.  Python 3.13+ supports that directly; older versions
-            # need care per start method: under *fork* the worker shares the
-            # creator's tracker (whose registry is a set, so the attach is
-            # deduplicated and nothing must be unregistered — doing so would
-            # strip the creator's own entry); under *spawn* the worker has
-            # its own tracker and the attach must be unregistered there.
-            try:
-                self._shm = shared_memory.SharedMemory(
-                    name=self.shm_name, create=False, track=False
-                )
-            except TypeError:  # pragma: no cover - Python < 3.13
-                self._shm = shared_memory.SharedMemory(name=self.shm_name, create=False)
-                if (
-                    mp.parent_process() is not None
-                    and mp.get_start_method(allow_none=True) != "fork"
-                ):
-                    try:
-                        from multiprocessing import resource_tracker
-
-                        resource_tracker.unregister(self._shm._name, "shared_memory")
-                    except Exception:
-                        pass
-            view = np.ndarray(
-                self.shape, dtype=np.dtype(self.dtype),
-                buffer=self._shm.buf, offset=self.offset,
-            )
-            view.flags.writeable = False
-            self._view = view
-        return self._view
-
-
-class SharedArrayPool:
-    """One shared-memory segment holding many arrays, for process fan-outs.
-
-    ``share()`` copies an array into the segment once and returns the
-    zero-pickle-cost :class:`SharedNDArray` handle; ``close()`` unlinks the
-    segment after the parallel map has consumed the results.  Use as a
-    context manager around the fan-out.
-    """
-
-    def __init__(self, total_bytes: int) -> None:
-        from multiprocessing import shared_memory
-
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, int(total_bytes)))
-        self._cursor = 0
-
-    @classmethod
-    def for_arrays(cls, arrays: Iterable[np.ndarray]) -> "SharedArrayPool":
-        """A pool sized (with alignment slack) for the given arrays."""
-        total = sum(int(a.nbytes) + 64 for a in arrays)
-        return cls(total)
-
-    def share(self, array: np.ndarray) -> SharedNDArray:
-        """Copy ``array`` into the segment; returns the picklable handle."""
-        array = np.ascontiguousarray(array)
-        offset = (self._cursor + 63) & ~63  # 64-byte alignment
-        end = offset + array.nbytes
-        if end > self._shm.size:
-            raise ValueError("SharedArrayPool capacity exceeded")
-        dest = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf, offset=offset)
-        dest[...] = array
-        self._cursor = end
-        return SharedNDArray(self._shm.name, array.dtype.str, array.shape, offset)
-
-    def close(self) -> None:
-        """Release and unlink the backing segment."""
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __enter__(self) -> "SharedArrayPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def as_ndarray(value: np.ndarray | SharedNDArray) -> np.ndarray:
-    """Unwrap a :class:`SharedNDArray` handle; plain arrays pass through."""
-    if isinstance(value, SharedNDArray):
-        return value.asarray()
-    return value
-
-
-def as_parallel_map(value: ParallelMap | int | None, *, mode: str | None = None) -> ParallelMap:
+def as_parallel_map(value: ParallelMap | int | None) -> ParallelMap:
     """Coerce a ``workers`` count or an existing executor into a ParallelMap.
 
     Accepts ``None`` (serial), an integer worker count, or a ready-made
-    :class:`ParallelMap` (returned unchanged — ``mode`` is ignored then).
-    This is the argument convention used by every API that takes a
-    ``workers=`` parameter.
+    :class:`ParallelMap` (returned unchanged).  This is the argument
+    convention used by every API that takes a ``workers=`` parameter.
     """
     if isinstance(value, ParallelMap):
         return value
     if value is None or isinstance(value, int):
-        return ParallelMap(workers=value, mode=mode)
+        return ParallelMap(workers=value)
     raise TypeError(
         f"expected a ParallelMap, an int worker count or None, got {type(value).__name__}"
     )

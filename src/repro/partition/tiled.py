@@ -19,13 +19,14 @@ fixed per-tile cost (pipeline setup + kernel launches) and the redundant
 indexing of halo points, both visible in the aggregated report.
 
 Tile fits run through the shared :class:`~repro.partition.executor.ParallelMap`
-executor — serial by default (deterministic wall-clock), threads or
-processes on request.  The tile worker is a module-level function over plain
-arrays, so process-based execution works out of the box.  Simulated-time
-aggregation is strategy-independent: per-phase simulated seconds are the
-*sum* of the per-tile device times (total device work), while the report
-metadata records the critical path (the slowest tile chain) — the wall-clock
-bound an actual multi-GPU deployment would see.
+executor — serial by default (deterministic wall-clock), on worker threads
+when ``workers > 1``.  The kernel-tier overrides the parent pushes around
+:meth:`TiledRTDBSCAN.fit` live in the dispatcher's process-wide stacks, so
+the worker threads honour them too.  Simulated-time aggregation is
+strategy-independent: per-phase simulated seconds are the *sum* of the
+per-tile device times (total device work), while the report metadata
+records the critical path (the slowest tile chain) — the wall-clock bound an
+actual multi-GPU deployment would see.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ..geometry.transforms import ensure_points3d
 from ..perf.cost_model import DeviceCostModel, OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
-from .executor import ParallelMap, SharedArrayPool, as_ndarray, as_parallel_map
+from .executor import ParallelMap, as_parallel_map
 from .merge import merge_tiles
 from .tiler import Tiler
 
@@ -53,17 +54,10 @@ __all__ = ["TiledRTDBSCAN", "TileJob", "TileRunResult", "run_tile", "tiled_rt_db
 
 @dataclass
 class TileJob:
-    """Everything one tile fit needs — plain data, picklable for processes.
-
-    For process executors the two array payloads are shipped as
-    :class:`~repro.partition.executor.SharedNDArray` handles backed by one
-    shared-memory segment, so pickling a job serialises only segment
-    metadata — no point bytes ever cross the pickle pipe.
-    """
+    """Everything one tile fit needs."""
 
     tile_id: int
-    #: local working set, owned points first (``(m, 3)`` lifted coordinates);
-    #: an ndarray, or a SharedNDArray handle under a process executor.
+    #: local working set, owned points first (``(m, 3)`` lifted coordinates).
     points: np.ndarray
     #: number of leading rows of ``points`` that are owned.
     num_owned: int
@@ -75,12 +69,6 @@ class TileJob:
     backend_kwargs: dict
     cost_model: DeviceCostModel
     has_rt_cores: bool = True
-    #: kernel-tier override for the tile fit.  Carried in the job (not read
-    #: from the parent's dispatcher) so process-pool workers — fresh
-    #: interpreters with their own dispatch state — honour it too.
-    native: bool | None = None
-    #: OpenMP worker-count override, carried for the same reason.
-    native_threads: int | None = None
 
 
 @dataclass
@@ -139,43 +127,25 @@ def run_tile(job: TileJob) -> TileRunResult:
     a ray.  External queries carry no self filter, so the self hit (distance
     zero) is removed here: one count per query, and the self row entries of
     the shard CSR — exactly the paper's ``q != s`` index comparison.
-
-    Module-level on purpose: :class:`~repro.partition.executor.ParallelMap`
-    in process mode needs a picklable callable over plain data.
     """
-    points = as_ndarray(job.points)
-    local_to_global = as_ndarray(job.local_to_global)
     device = RTDevice(
         cost_model=job.cost_model,
         has_rt_cores=job.has_rt_cores,
         name=f"sim-shard-{job.tile_id}",
     )
-    ctx = (
-        native_dispatch.override(job.native)
-        if job.native is not None
-        else contextlib.nullcontext()
-    )
-    tctx = (
-        native_dispatch.thread_override(job.native_threads)
-        if job.native_threads is not None
-        else contextlib.nullcontext()
-    )
-    with ctx, tctx:
-        finder = make_backend(
-            job.backend, points, job.eps, device=device, **job.backend_kwargs
-        )
-        try:
-            owned_pts = points[: job.num_owned]
+    finder = make_backend(job.backend, job.points, job.eps, device=device, **job.backend_kwargs)
+    try:
+        owned_pts = job.points[: job.num_owned]
 
-            counts_with_self, stats1 = finder.neighbor_counts(owned_pts)
-            neighbor_counts = counts_with_self.astype(np.int64) - 1
-            core_mask = neighbor_counts >= job.min_pts
+        counts_with_self, stats1 = finder.neighbor_counts(owned_pts)
+        neighbor_counts = counts_with_self.astype(np.int64) - 1
+        core_mask = neighbor_counts >= job.min_pts
 
-            indptr, ind_loc, stats2 = finder.neighbor_csr(owned_pts)
-            build_seconds = finder.build_seconds
-            build_prims = finder.num_prims
-        finally:
-            finder.release()
+        indptr, ind_loc, stats2 = finder.neighbor_csr(owned_pts)
+        build_seconds = finder.build_seconds
+        build_prims = finder.num_prims
+    finally:
+        finder.release()
 
     # Strip the self hit: row i of the shard CSR belongs to local point i
     # (owned points lead the local ordering), so the self entry is the one
@@ -192,12 +162,12 @@ def run_tile(job: TileJob) -> TileRunResult:
     return TileRunResult(
         tile_id=job.tile_id,
         num_owned=job.num_owned,
-        num_halo=int(points.shape[0] - job.num_owned),
-        owned=local_to_global[: job.num_owned],
+        num_halo=int(job.points.shape[0] - job.num_owned),
+        owned=job.local_to_global[: job.num_owned],
         neighbor_counts=neighbor_counts,
         core_mask=core_mask,
         indptr=indptr,
-        indices=local_to_global[ind_loc],
+        indices=job.local_to_global[ind_loc],
         num_boundary_pairs=num_boundary,
         build_seconds=build_seconds,
         build_prims=build_prims,
@@ -238,10 +208,9 @@ class TiledRTDBSCAN(ClustererMixin):
     grid:
         Explicit ``(nx, ny, nz)`` tile grid; overrides ``tiles``.
     workers:
-        Tile-fit parallelism for the :class:`ParallelMap` executor
-        (default serial).  An existing executor can be passed instead.
-    executor_mode:
-        ``"thread"`` (default for ``workers > 1``) or ``"process"``.
+        Tile-fit parallelism for the :class:`ParallelMap` executor: serial
+        by default, that many worker threads when greater than one.  An
+        existing executor can be passed instead.
     builder, leaf_size, chunk_size:
         Acceleration-structure parameters forwarded to the ``rt`` backend
         (ignored by the host backends).
@@ -255,14 +224,14 @@ class TiledRTDBSCAN(ClustererMixin):
         Store per-point neighbour counts and points in the result so
         :meth:`DBSCANResult.refit` works, as in the untiled pipeline.
     native:
-        Kernel-tier override, carried into every tile job (so process-pool
-        workers honour it too): ``True`` forces the compiled C kernels,
-        ``False`` forces pure numpy, ``None`` defers to ``REPRO_NATIVE``.
-        Labels and charged operation counts are identical either way.
+        Kernel-tier override for the whole fit, tile worker threads
+        included: ``True`` forces the compiled C kernels, ``False`` forces
+        pure numpy, ``None`` defers to ``REPRO_NATIVE``.  Labels and charged
+        operation counts are identical either way.
     native_threads:
-        OpenMP worker-count override for the native kernels, carried into
-        every tile job like ``native``; ``None`` defers to
-        ``REPRO_NATIVE_THREADS``.  Byte-identical results at any count.
+        OpenMP worker-count override for the native kernels, applied like
+        ``native``; ``None`` defers to ``REPRO_NATIVE_THREADS``.
+        Byte-identical results at any count.
     """
 
     eps: float
@@ -272,7 +241,6 @@ class TiledRTDBSCAN(ClustererMixin):
     tiles: int | str = 4
     grid: tuple[int, int, int] | None = None
     workers: int | ParallelMap | None = None
-    executor_mode: str | None = None
     builder: str = "lbvh"
     leaf_size: int = 4
     chunk_size: int = 16384
@@ -317,45 +285,29 @@ class TiledRTDBSCAN(ClustererMixin):
             kwargs.update(self.backend_kwargs)
         return kwargs
 
-    def _make_jobs(
-        self, pts3: np.ndarray, tiles, executor: ParallelMap
-    ) -> tuple[list[TileJob], SharedArrayPool | None]:
-        """Materialise per-tile jobs; under a process executor the array
-        payloads go into one shared-memory segment so that pickling a job
-        ships only segment metadata (no point bytes cross the pickle pipe).
-        The returned pool (if any) must be closed after the fan-out.
-        """
-        payloads = [
-            (pts3[t.indices], np.asarray(t.indices, dtype=np.intp)) for t in tiles
-        ]
-        pool: SharedArrayPool | None = None
-        if executor.mode == "process":
-            pool = SharedArrayPool.for_arrays([a for pair in payloads for a in pair])
-            payloads = [(pool.share(p), pool.share(i)) for p, i in payloads]
-        jobs = [
+    def _make_jobs(self, pts3: np.ndarray, tiles) -> list[TileJob]:
+        return [
             TileJob(
                 tile_id=t.tile_id,
-                points=p_arr,
+                points=pts3[t.indices],
                 num_owned=t.num_owned,
-                local_to_global=i_arr,
+                local_to_global=np.asarray(t.indices, dtype=np.intp),
                 eps=self.params.eps,
                 min_pts=self.params.min_pts,
                 backend=self.backend,
                 backend_kwargs=self._backend_kwargs(),
                 cost_model=self.device.cost_model,
                 has_rt_cores=self.device.has_rt_cores,
-                native=self.native,
-                native_threads=self.native_threads,
             )
-            for t, (p_arr, i_arr) in zip(tiles, payloads)
+            for t in tiles
         ]
-        return jobs, pool
 
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> DBSCANResult:
         """Cluster ``points``; labels are bit-identical to an untiled run."""
-        # The override also covers the parent-side merge (its union-find
-        # consults the dispatcher); tile workers get it via TileJob.native.
+        # The dispatcher's override stacks are process-wide, so these pushes
+        # cover the tile worker threads as well as the parent-side merge
+        # (whose union-find consults the dispatcher).
         ctx = (
             native_dispatch.override(self.native)
             if self.native is not None
@@ -372,7 +324,7 @@ class TiledRTDBSCAN(ClustererMixin):
     def _fit(self, points: np.ndarray) -> DBSCANResult:
         pts3 = ensure_points3d(points)
         n = pts3.shape[0]
-        executor = as_parallel_map(self.workers, mode=self.executor_mode)
+        executor = as_parallel_map(self.workers)
         timer = PhaseTimer("rt-dbscan-tiled", self.device.cost_model)
 
         # -------------------------------------------------------------- #
@@ -381,7 +333,7 @@ class TiledRTDBSCAN(ClustererMixin):
         with timer.phase("tile_split", simulated_seconds=0.0):
             tiler = Tiler(self.params.eps, tiles=self._num_tiles(n), grid=self.grid)
             tiles = tiler.split(pts3)
-            jobs, pool = self._make_jobs(pts3, tiles, executor)
+            jobs = self._make_jobs(pts3, tiles)
 
         timer.metadata.update(
             {
@@ -393,18 +345,13 @@ class TiledRTDBSCAN(ClustererMixin):
                 "num_tiles": len(tiles),
                 "grid": tuple(int(g) for g in tiler.grid_shape(pts3)),
                 "workers": executor.workers,
-                "executor_mode": executor.mode,
             }
         )
 
         # -------------------------------------------------------------- #
         # Shard-local clustering: both query stages, per tile, in parallel.
         # -------------------------------------------------------------- #
-        try:
-            results = executor.map(run_tile, jobs)
-        finally:
-            if pool is not None:
-                pool.close()
+        results = executor.map(run_tile, jobs)
 
         build_counts = OpCounts(
             bvh_build_prims=sum(r.build_prims for r in results),

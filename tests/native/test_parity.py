@@ -14,6 +14,8 @@ pure-numpy suite already covers the fallback behaviour.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -85,15 +87,34 @@ class TestTiledParity:
         assert fits[True].extra["kernel_tier"] == "native"
         assert_results_identical(fits[False], fits[True])
 
-    def test_process_executor_carries_override(self, dataset):
-        """TileJob.native must reach process-pool workers (fresh interpreters)."""
+    def test_worker_threads_carry_override(self, dataset, monkeypatch):
+        """Tile worker threads honour the parent's native= and native_threads=.
+
+        Tile jobs carry no tier flags: the overrides pushed around ``fit``
+        live in the dispatcher's process-wide stacks.  Every compiled-kernel
+        call is recorded with its thread and resolved worker count; 3 OpenMP
+        threads differs from the auto default on any core count but 3.
+        """
         _, pts, eps = dataset
+        calls = []
+        for name in dispatch.KERNEL_SLOTS:
+            def counting(self, *args, _fn=getattr(dispatch.NativeKernels, name), **kwargs):
+                calls.append((threading.get_ident(), self.resolve_threads()))
+                return _fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(dispatch.NativeKernels, name, counting)
+        expected_threads = 3 if dispatch.kernels().has_openmp else 1
         fits = {}
         for native in (False, True):
+            calls.clear()
             fits[native] = TiledRTDBSCAN(
                 eps=eps, min_pts=MIN_PTS, backend="grid", tiles=4,
-                workers=2, executor_mode="process", native=native,
+                workers=2, native=native, native_threads=3,
             ).fit(pts)
+            assert bool(calls) is native
+            assert all(resolved == expected_threads for _, resolved in calls)
+        # The tile kernels ran on pool threads, not only in the calling thread.
+        assert {ident for ident, _ in calls} - {threading.get_ident()}
         assert_results_identical(fits[False], fits[True])
 
 

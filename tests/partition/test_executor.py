@@ -23,12 +23,12 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("workers", [None, 0, 1])
     def test_low_worker_counts_force_serial(self, workers):
-        pm = ParallelMap(workers=workers, mode="thread")
+        pm = ParallelMap(workers=workers)
         assert pm.is_serial
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_results_keep_input_order(self, mode):
-        pm = ParallelMap(workers=4, mode=mode)
+    @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "thread"])
+    def test_results_keep_input_order(self, workers):
+        pm = ParallelMap(workers=workers)
         items = list(range(20))
         assert pm.map(_square, items) == [x * x for x in items]
 
@@ -40,36 +40,25 @@ class TestParallelMap:
             barrier.wait()
             return threading.get_ident()
 
-        idents = ParallelMap(workers=2, mode="thread").map(rendezvous, [0, 1])
+        idents = ParallelMap(workers=2).map(rendezvous, [0, 1])
         assert len(idents) == 2
 
     def test_single_item_short_circuits_to_serial(self):
-        pm = ParallelMap(workers=4, mode="thread")
+        pm = ParallelMap(workers=4)
         assert pm.map(_square, [3]) == [9]
 
     def test_empty_input(self):
         assert ParallelMap(workers=4).map(_square, []) == []
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_exceptions_propagate(self, mode):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "thread"])
+    def test_exceptions_propagate(self, workers):
         def boom(x):
             raise RuntimeError(f"bad item {x}")
 
         with pytest.raises(RuntimeError, match="bad item"):
-            ParallelMap(workers=2, mode=mode).map(boom, [1, 2])
+            ParallelMap(workers=workers).map(boom, [1, 2])
 
-    def test_starmap(self):
-        pm = ParallelMap(workers=2)
-        assert pm.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
-    def test_starmap_in_process_mode(self):
-        # The unpacking wrapper must be picklable for process pools.
-        pm = ParallelMap(workers=2, mode="process")
-        assert pm.starmap(divmod, [(7, 2), (9, 4)]) == [(3, 1), (2, 1)]
-
-    def test_invalid_mode_and_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelMap(mode="gpu")
+    def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             ParallelMap(workers=-1)
 
@@ -79,7 +68,7 @@ class TestParallelMap:
 
     def test_thread_mode_overlaps_sleeps(self):
         # Two 50 ms sleeps on two workers should take well under 100 ms.
-        pm = ParallelMap(workers=2, mode="thread")
+        pm = ParallelMap(workers=2)
         start = time.perf_counter()
         pm.map(lambda _: time.sleep(0.05), [0, 1])
         assert time.perf_counter() - start < 0.095
@@ -92,13 +81,10 @@ class TestAsParallelMap:
     def test_int_gives_threads(self):
         pm = as_parallel_map(3)
         assert pm.workers == 3
-        assert pm.mode == "thread"
-
-    def test_mode_override(self):
-        assert as_parallel_map(3, mode="process").mode == "process"
+        assert not pm.is_serial
 
     def test_existing_executor_passes_through(self):
-        pm = ParallelMap(workers=2, mode="thread")
+        pm = ParallelMap(workers=2)
         assert as_parallel_map(pm) is pm
 
     def test_rejects_other_types(self):

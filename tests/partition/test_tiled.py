@@ -3,7 +3,7 @@
 The backend x dataset bit-identity acceptance bar for the tiled layer lives
 in tests/test_equivalence_matrix.py (the cross-layer equivalence matrix);
 this file keeps the partition-specific checks — halo coverage, tiling grids,
-worker/process executors, refit, and the per-tile operation counts stitching
+worker threads, refit, and the per-tile operation counts stitching
 back to the untiled run's totals for every workload-invariant counter.
 """
 
@@ -50,18 +50,18 @@ class TestLabelEquivalence:
         ]
         assert max(spans) > 1
 
-    def test_workers_do_not_change_labels(self, blob_points):
-        ref = TiledRTDBSCAN(eps=0.3, min_pts=5, tiles=4).fit(blob_points)
-        threaded = TiledRTDBSCAN(eps=0.3, min_pts=5, tiles=4, workers=4).fit(blob_points)
-        _assert_same_result(threaded, ref)
-
-    def test_process_executor_matches(self, blob_points):
-        ref = TiledRTDBSCAN(eps=0.3, min_pts=5, backend="kdtree", tiles=4).fit(blob_points)
-        proc = TiledRTDBSCAN(
-            eps=0.3, min_pts=5, backend="kdtree", tiles=4, workers=2,
-            executor_mode="process",
+    @pytest.mark.parametrize("backend", ["rt", "kdtree"])
+    def test_workers_do_not_change_labels(self, blob_points, backend):
+        ref = TiledRTDBSCAN(eps=0.3, min_pts=5, backend=backend, tiles=4).fit(blob_points)
+        threaded = TiledRTDBSCAN(
+            eps=0.3, min_pts=5, backend=backend, tiles=4, workers=4
         ).fit(blob_points)
-        _assert_same_result(proc, ref)
+        _assert_same_result(threaded, ref)
+        # Per-tile pair counts, op counts and simulated seconds, in tile order.
+        assert threaded.extra["tiles"] == ref.extra["tiles"]
+        for a, b in zip(threaded.report.phases, ref.report.phases):
+            assert a.counts.as_dict() == b.counts.as_dict()
+        assert threaded.report.total_simulated_seconds == ref.report.total_simulated_seconds
 
     def test_explicit_grid(self, blob_points):
         ref = RTDBSCAN(eps=0.3, min_pts=5).fit(blob_points)
@@ -142,7 +142,6 @@ class TestCountParity:
         meta = tiled.report.metadata
         assert meta["num_tiles"] == 4
         assert meta["workers"] == 2
-        assert meta["executor_mode"] == "thread"
 
 
 class TestApiIntegration:
