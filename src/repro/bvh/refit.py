@@ -42,15 +42,20 @@ def refit(bvh: BVH, new_bounds: AABB) -> BVH:
     node_lower[leaf_ids] = np.minimum.reduceat(gathered_lower, starts, axis=0)
     node_upper[leaf_ids] = np.maximum.reduceat(gathered_upper, starts, axis=0)
 
-    # Propagate upwards by repeatedly tightening parents until a fixed point.
-    # Nodes were emitted in BFS order by the LBVH builder and pre-order by the
-    # SAH builder; in both layouts children have larger indices than their
-    # parent, so a single reverse sweep suffices.
-    internal_ids = np.flatnonzero(~bvh.leaf_mask)[::-1]
-    for i in internal_ids:
-        l, r = bvh.left[i], bvh.right[i]
-        node_lower[i] = np.minimum(node_lower[l], node_lower[r])
-        node_upper[i] = np.maximum(node_upper[l], node_upper[r])
+    # Propagate upwards one tree level at a time, deepest level first.  An
+    # internal node depends only on its two children, which sit exactly one
+    # level below it, so each level is a single gather plus an elementwise
+    # min/max — independent of how the builder numbered the nodes.
+    levels = []
+    nodes = np.array([bvh.root], dtype=np.intp)
+    while nodes.size:
+        nodes = nodes[~bvh.leaf_mask[nodes]]
+        levels.append(nodes)
+        nodes = bvh.children[nodes].ravel()
+    for ids in reversed(levels):
+        l, r = bvh.left[ids], bvh.right[ids]
+        node_lower[ids] = np.minimum(node_lower[l], node_lower[r])
+        node_upper[ids] = np.maximum(node_upper[l], node_upper[r])
 
     return BVH(
         node_lower=node_lower,

@@ -393,9 +393,8 @@ class StreamingRTDBSCAN(ClustererMixin):
         new_slots = np.empty(0, dtype=np.intp)
         with timer.phase("scene_update") as counts:
             if k:
-                new_slots = self.scene.allocate(k)
+                new_slots = self.scene.add(pts3)
                 self._sync_capacity()
-                self.scene.set_points(new_slots, pts3)
                 self._arrival[new_slots] = np.arange(
                     self._next_arrival, self._next_arrival + k, dtype=np.int64
                 )

@@ -4,7 +4,9 @@ The batch pipeline rebuilds the whole scene per run; a stream cannot afford
 that, so :class:`StreamingScene` keeps the spheres in a *slot buffer* sized
 above the live window:
 
-* **append** — new points fill free slots (recycled first, then fresh ones);
+* **add**    — new points take the lowest free slots, then fresh ones; once
+  a tree exists, each point takes the slot of matching rank along the last
+  build's Morton curve, so refits stretch leaves as little as possible;
 * **evict**  — a slot is *parked*: its sphere collapses to radius zero and
   moves to a point outside the data extent, so it can never produce a hit
   and barely disturbs traversal;
@@ -26,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..api.registry import make_backend
+from ..geometry.morton import morton3d_30
 from ..geometry.sphere import SphereGeometry
 from ..perf.cost_model import OpCounts
 from ..rtcore.counters import LaunchStats
@@ -84,6 +87,10 @@ class StreamingScene:
         self.active = np.zeros(self.capacity, dtype=bool)
         self._free: list[int] = []
         self._high_water = 0
+        #: per-slot Morton code and its ``(lower, span)`` frame, recorded at
+        #: the last rebuild; :meth:`add` places arrivals along that curve.
+        self._slot_codes: np.ndarray | None = None
+        self._frame: tuple[np.ndarray, np.ndarray] | None = None
 
         self.pipeline: ScenePipeline | None = None
         self._needs_rebuild = True
@@ -113,15 +120,22 @@ class StreamingScene:
         self.capacity = new_cap
         self._needs_rebuild = True
 
-    def allocate(self, k: int) -> np.ndarray:
-        """Reserve ``k`` slots and return their ids (lowest ids first).
+    def add(self, points3: np.ndarray) -> np.ndarray:
+        """Activate one ε-sphere per row of ``points3``; returns their slots.
 
-        The caller must follow up with :meth:`set_points` and then
-        :meth:`commit`.  Growing past the current capacity marks the
-        structure for rebuild.
+        ``slots[i]`` holds ``points3[i]``.  The slot set is the lowest free
+        ids, then fresh ones past the high-water mark (growing the buffer,
+        which marks the structure for rebuild, when those run out).  While
+        the last build's tree is still valid, the slots and the points are
+        both sorted along that build's Morton curve and paired rank for
+        rank: each point takes the freed slot whose leaf sits nearest it,
+        so a refit stretches that leaf, and its ancestors, as little as
+        possible.  Otherwise (before the first build, or with a growth
+        rebuild pending) slots are handed out in arrival order.  The caller
+        must follow up with :meth:`commit`.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        points3 = np.asarray(points3, dtype=np.float64)
+        k = points3.shape[0]
         self._free.sort()
         recycled = self._free[:k]
         self._free = self._free[k:]
@@ -130,15 +144,20 @@ class StreamingScene:
             self._grow(self._high_water + fresh_needed)
         fresh = list(range(self._high_water, self._high_water + fresh_needed))
         self._high_water += fresh_needed
-        return np.asarray(recycled + fresh, dtype=np.intp)
-
-    def set_points(self, slots: np.ndarray, points3: np.ndarray) -> None:
-        """Activate ``slots`` as ε-spheres centred on ``points3``."""
-        slots = np.asarray(slots, dtype=np.intp)
+        slots = np.asarray(recycled + fresh, dtype=np.intp)
+        if self._slot_codes is not None and not self._needs_rebuild:
+            by_code = slots[np.argsort(self._slot_codes[slots], kind="stable")]
+            slots[np.argsort(self._morton(points3), kind="stable")] = by_code
         self.centers[slots] = points3
         self.radii[slots] = self.eps
         self.active[slots] = True
-        self._churned_since_build += int(slots.size)
+        self._churned_since_build += k
+        return slots
+
+    def _morton(self, points3: np.ndarray) -> np.ndarray:
+        """30-bit Morton codes in the last build's frame (outliers clipped)."""
+        lo, span = self._frame
+        return morton3d_30((points3 - lo) / span)
 
     def deallocate(self, slots: np.ndarray) -> None:
         """Park ``slots``: zero radius, centre outside the data extent."""
@@ -210,6 +229,7 @@ class StreamingScene:
         if inactive.any():
             self.centers[inactive] = self._park_point()
             self.radii[inactive] = 0.0
+        self._record_slot_codes()
         geometry = SphereGeometry(self.centers, self.radii)
         self.pipeline = ScenePipeline(
             device=self.device,
@@ -224,6 +244,21 @@ class StreamingScene:
         self.num_builds += 1
         self.build_prims_total += self.capacity
         return seconds
+
+    def _record_slot_codes(self) -> None:
+        """Record every slot's Morton code in the active centres' bounding box.
+
+        Parked slots lie outside that box and clip to its far corner, so
+        they pair with the arrivals that sort last.
+        """
+        if not self.active.any():
+            self._slot_codes = self._frame = None
+            return
+        act = self.centers[self.active]
+        lo = act.min(axis=0)
+        span = act.max(axis=0) - lo
+        self._frame = (lo, np.where(span > 0, span, 1.0))
+        self._slot_codes = self._morton(self.centers)
 
     # ------------------------------------------------------------------ #
     def query_csr(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
@@ -309,19 +344,20 @@ class StreamingScene:
 class HostStreamingScene(StreamingScene):
     """Slot-buffer window scene answered by a host neighbour backend.
 
-    Same slot-buffer lifecycle as :class:`StreamingScene` (allocate /
-    set_points / deallocate / commit / query), but instead of maintaining an
-    ε-sphere BVH on the simulated RT device, :meth:`commit` rebuilds one of
-    the registered host backends (``grid`` / ``kdtree`` / ``brute``) over the
-    live window and :meth:`query_csr` answers through its external-query
-    sweep.  Because every exact backend returns the canonical ε-adjacency,
-    the streaming engine produces bit-identical labels on this scene and on
-    the RT scene — which is what lets the snapshot/restore parity suite
-    assert recovery on every substrate the engine supports.
+    Same slot-buffer lifecycle as :class:`StreamingScene` (add / deallocate
+    / commit / query), but instead of maintaining an ε-sphere BVH on the
+    simulated RT device, :meth:`commit` rebuilds one of the registered host
+    backends (``grid`` / ``kdtree`` / ``brute``) over the live window and
+    :meth:`query_csr` answers through its external-query sweep.  Because
+    every exact backend returns the canonical ε-adjacency, the streaming
+    engine produces bit-identical labels on this scene and on the RT scene —
+    which is what lets the snapshot/restore parity suite assert recovery on
+    every substrate the engine supports.
 
     Host index structures have no refit path: any churn since the last
     commit forces a rebuild (host builds are cheap — the backends charge
-    their own shader-core build costs to the device).
+    their own shader-core build costs to the device).  With no refit tree
+    to keep tight, :meth:`add` hands out slots in arrival order.
     """
 
     def __init__(

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.bvh import build_lbvh, build_sah, leaf_occupancy, refit, sah_cost
+from repro.bvh import (
+    INVALID_NODE,
+    build_kdtree,
+    build_lbvh,
+    build_sah,
+    leaf_occupancy,
+    refit,
+    sah_cost,
+)
 from repro.geometry.aabb import AABB
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -134,6 +142,40 @@ class TestRefit:
         refitted = refit(bvh, AABB.from_spheres(centers, 1.0))
         np.testing.assert_array_equal(refitted.left, bvh.left)
         np.testing.assert_array_equal(refitted.prim_indices, bvh.prim_indices)
+
+    @pytest.mark.parametrize("builder", [build_lbvh, build_sah, build_kdtree])
+    def test_level_sweep_matches_per_node_reference(self, builder):
+        """The level-synchronous sweep is byte-identical to a node-by-node walk."""
+        bounds, centers = _sphere_bounds(500, seed=3, radius=0.3)
+        bvh = builder(bounds, leaf_size=4)
+        rng = np.random.default_rng(4)
+        moved = centers.copy()
+        idx = rng.choice(500, size=120, replace=False)
+        moved[idx] = rng.uniform(-30, 30, size=(120, 3))  # some land far outside
+        radii = np.where(np.arange(500) % 7 == 0, 0.0, 0.3)  # parked, zero-radius
+        new_bounds = AABB.from_spheres(moved, radii)
+
+        lower, upper = new_bounds.lower, new_bounds.upper
+        ref_lower = np.empty_like(bvh.node_lower)
+        ref_upper = np.empty_like(bvh.node_upper)
+
+        def visit(node):
+            l, r = bvh.left[node], bvh.right[node]
+            if l == INVALID_NODE:
+                prims = bvh.leaf_primitives(node)
+                ref_lower[node] = lower[prims].min(axis=0)
+                ref_upper[node] = upper[prims].max(axis=0)
+                return
+            visit(l)
+            visit(r)
+            ref_lower[node] = np.minimum(ref_lower[l], ref_lower[r])
+            ref_upper[node] = np.maximum(ref_upper[l], ref_upper[r])
+
+        visit(bvh.root)
+        refitted = refit(bvh, new_bounds)
+        assert refitted.node_lower.tobytes() == ref_lower.tobytes()
+        assert refitted.node_upper.tobytes() == ref_upper.tobytes()
+        refitted.validate()
 
     def test_refit_wrong_count_raises(self):
         bounds, _ = _sphere_bounds(50)

@@ -120,6 +120,9 @@ class TestTiledParity:
 
 class TestStreamingParity:
     def test_chunked_ingest_identical(self, dataset):
+        # 100-point chunks against a 600-point window: once the window is
+        # full, steady updates refit, so traversal parity is also checked on
+        # refit trees whose leaves hold recycled slots.
         _, pts, eps = dataset
         results = {}
         for native in (False, True):
@@ -127,10 +130,12 @@ class TestStreamingParity:
                 eps=eps, min_pts=MIN_PTS, window=600, native=native
             )
             updates = [
-                engine.update(pts[lo : lo + 300]) for lo in range(0, pts.shape[0], 300)
+                engine.update(pts[lo : lo + 100]) for lo in range(0, pts.shape[0], 100)
             ]
             results[native] = (updates, engine.result())
+        assert "refit" in {u.accel_action for u in results[True][0]}
         for ua, ub in zip(results[False][0], results[True][0]):
+            assert ua.accel_action == ub.accel_action
             assert np.array_equal(ua.labels, ub.labels)
             assert np.array_equal(ua.core_mask, ub.core_mask)
             assert_counts_equal(ua.report, ub.report)

@@ -10,6 +10,7 @@ from repro.perf.cost_model import DEFAULT_COST_MODEL, OpCounts
 from repro.rtcore.device import RTDevice
 from repro.rtcore.owl import owl_context_create
 from repro.streaming import RefitPolicy, StreamingScene
+from repro.streaming.scene import HostStreamingScene
 
 
 class TestCostModelRefit:
@@ -51,7 +52,7 @@ class TestOWLRefit:
         assert device.total_counts.bvh_refit_prims == 64
         # Refitting again must not stack another "+refit" suffix.
         group.refit_accel()
-        assert bvh.builder.count("+refit") == 1 or group.pipeline.bvh.builder.count("+refit") == 1
+        assert group.pipeline.bvh.builder.count("+refit") == 1
         context.destroy()
 
 
@@ -82,24 +83,66 @@ class TestStreamingScene:
     def _scene(self, **kwargs) -> StreamingScene:
         return StreamingScene(0.5, RTDevice(), initial_capacity=16, **kwargs)
 
-    def test_allocate_recycles_lowest_slots_first(self):
+    @staticmethod
+    def _line(xs) -> np.ndarray:
+        return np.column_stack([xs, np.zeros(len(xs)), np.zeros(len(xs))]).astype(float)
+
+    def test_add_recycles_lowest_slots_first(self):
         scene = self._scene()
-        slots = scene.allocate(4)
-        scene.set_points(slots, np.zeros((4, 3)))
+        slots = scene.add(np.zeros((4, 3)))
         scene.commit(RefitPolicy())
         scene.deallocate(slots[[2, 0]])
-        again = scene.allocate(3)
-        assert list(again) == [0, 2, 4]
+        again = scene.add(self._line([5.0, 1.0, 3.0]))
+        assert sorted(again) == [0, 2, 4]
+        assert np.array_equal(scene.centers[again], self._line([5.0, 1.0, 3.0]))
+
+    def test_add_pairs_slots_by_morton_rank_once_built(self):
+        # Slot i holds x = i on a line, so the built tree orders the slots
+        # by id along its Morton curve; slots 13-15 are parked slack, which
+        # clips to the frame's far corner and sorts last.
+        scene = self._scene()
+        assert np.array_equal(scene.add(self._line(np.arange(13))), np.arange(13))
+        scene.commit(RefitPolicy())
+        scene.deallocate(np.array([3, 8]))
+        # The slot set is still lowest-free-first then fresh ({3, 8, 13}),
+        # but each arrival takes the slot of matching Morton rank.
+        slots = scene.add(self._line([8.1, 20.0, 3.1]))
+        assert list(slots) == [8, 13, 3]
+        scene.deallocate(np.array([5, 6, 7]))
+        slots = scene.add(self._line([6.9, 5.2, 6.1]))
+        assert list(slots) == [7, 5, 6]
+
+    def test_add_keeps_arrival_order_before_first_build(self):
+        scene = self._scene()
+        slots = scene.add(self._line([9.0, 1.0, 5.0]))
+        assert list(slots) == [0, 1, 2]
+        scene.deallocate(slots[[1]])
+        assert list(scene.add(self._line([7.0, 2.0]))) == [1, 3]
+
+    def test_add_keeps_arrival_order_while_growth_rebuild_pends(self):
+        scene = self._scene()
+        scene.add(self._line(np.arange(12)))
+        scene.commit(RefitPolicy())
+        scene.deallocate(np.array([2, 9]))
+        # 2 recycled + 10 fresh slots overflow capacity 16: the tree is
+        # invalid, so Morton ranks of the old build no longer apply.
+        slots = scene.add(self._line(np.arange(12)[::-1]))
+        assert list(slots) == [2, 9, *range(12, 22)]
+
+    def test_host_scene_keeps_arrival_order(self):
+        scene = HostStreamingScene(0.5, RTDevice(), initial_capacity=16)
+        scene.add(self._line(np.arange(12)))
+        scene.commit(RefitPolicy())
+        scene.deallocate(np.array([3, 8]))
+        assert list(scene.add(self._line([8.1, 20.0, 3.1]))) == [3, 8, 12]
 
     def test_growth_marks_rebuild(self):
         scene = self._scene()
-        slots = scene.allocate(10)
-        scene.set_points(slots, np.random.default_rng(1).uniform(0, 1, (10, 3)))
+        scene.add(np.random.default_rng(1).uniform(0, 1, (10, 3)))
         action, _, _ = scene.commit(RefitPolicy())
         assert action == "rebuild"
-        more = scene.allocate(20)  # exceeds capacity 16
+        scene.add(np.random.default_rng(2).uniform(0, 1, (20, 3)))  # exceeds capacity 16
         assert scene.capacity >= 30
-        scene.set_points(more, np.random.default_rng(2).uniform(0, 1, (20, 3)))
         action, _, counts = scene.commit(RefitPolicy(mode="refit"))
         assert action == "rebuild"  # growth invalidates the topology
         assert counts.bvh_build_prims == scene.capacity
@@ -107,8 +150,7 @@ class TestStreamingScene:
     def test_parked_slots_never_hit(self):
         scene = self._scene()
         pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.6, 0.0, 0.0]])
-        slots = scene.allocate(3)
-        scene.set_points(slots, pts)
+        slots = scene.add(pts)
         scene.commit(RefitPolicy())
         scene.deallocate(slots[1:2])
         scene.commit(RefitPolicy())
@@ -122,8 +164,7 @@ class TestStreamingScene:
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 2, size=(40, 3))
         scene = StreamingScene(0.4, RTDevice(), initial_capacity=64)
-        slots = scene.allocate(40)
-        scene.set_points(slots, pts)
+        slots = scene.add(pts)
         scene.commit(RefitPolicy())
         q, p, stats = scene.query_pairs(slots)
         got = set(zip(q.tolist(), p.tolist()))
