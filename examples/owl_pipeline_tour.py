@@ -8,7 +8,8 @@ level of abstraction, mirroring the structure of an OWL host program:
 1. create a context on the (simulated) RT device;
 2. declare the ε-sphere geometry type with its Intersection program;
 3. build the acceleration structure (the "group");
-4. launch one infinitesimally short ray per point and collect hits;
+4. launch one infinitesimally short ray per point and collect the hits as a
+   CSR adjacency (row ``q`` lists the neighbours of point ``q``);
 5. read the hardware counters the timing model is built on;
 6. repeat the launch with the Section VI-C triangle tessellation to see why
    the paper rejects that variant.
@@ -42,8 +43,8 @@ def main() -> None:
           f"BVH build {group.build_seconds * 1e3:.3f} ms (simulated)")
 
     # 4. Launch ---------------------------------------------------------- #
-    query_idx, prim_idx, stats = group.launch_hits(points)
-    counts = np.bincount(query_idx, minlength=len(points))
+    indptr, _, stats = group.launch_csr(points)
+    counts = np.diff(indptr)
     print(f"launched {stats.num_rays} epsilon-rays -> {stats.confirmed_hits} confirmed hits")
     print(f"mean neighbours per point: {counts.mean():.1f} (max {counts.max()})")
 
@@ -58,7 +59,7 @@ def main() -> None:
     # 6. Triangle mode (Section VI-C) ------------------------------------ #
     _, tri_geom = context.create_triangle_geom_type(points, eps, subdivisions=0)
     tri_group = context.build_group(tri_geom)
-    _, _, tri_stats = tri_group.launch_hits(points)
+    _, _, tri_stats = tri_group.launch_csr(points)
     print(f"\ntriangle tessellation: {tri_geom.num_primitives} primitives "
           f"(20 triangles per sphere)")
     print(f"  BVH build              {tri_group.build_seconds * 1e3:>11.3f} ms")

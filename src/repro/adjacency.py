@@ -1,4 +1,4 @@
-"""CSR adjacency — the zero-materialisation contract of the pair pipeline.
+"""CSR adjacency — the one adjacency form of the clustering pipeline.
 
 Every neighbour backend answers stage-2 queries with a **CSR adjacency**: an
 ``indptr`` offset array of shape ``(num_queries + 1,)`` and an ``indices``
@@ -7,14 +7,11 @@ emitted in query order and each row's indices are sorted ascending, so the
 representation is *canonical*: two backends that discover the same ε-pair
 multiset produce byte-identical CSR arrays, regardless of traversal order.
 
-This replaces the legacy ``(q_hit, p_hit)`` pair-array contract.  A pair
-array stores the query id once per edge — an O(n·k) intermediate that is
-pure redundancy on top of the neighbour lists — and, worse, every backend
-used to materialise its *candidate* pair set (typically several times larger
-than the confirmed set) before filtering.  Backends now produce the CSR
-chunk-by-chunk (a block of queries at a time) and
-:func:`repro.dbscan.formation.form_clusters_csr` consumes it directly, so
-the full ε-pair set never exists in memory.
+Flat ``(query, neighbour)`` pair arrays would store the query id once per
+edge — an O(n·k) intermediate that is pure redundancy on top of the
+neighbour lists.  Backends instead produce the CSR chunk-by-chunk (a block
+of queries at a time) and :func:`repro.dbscan.formation.form_clusters_csr`
+consumes it directly, so the full ε-pair set never exists in memory.
 
 The helpers here are deliberately dependency-free (NumPy only) so that every
 layer — ``bvh``, ``rtcore``, ``neighbors``, ``dbscan``, ``partition``,
@@ -27,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "pairs_to_csr",
-    "csr_to_pairs",
     "csr_row_ids",
     "expand_ranges",
     "concat_csr",
@@ -40,8 +36,8 @@ def pairs_to_csr(
     """Convert ``(query, neighbour)`` pair arrays to canonical CSR form.
 
     Rows are the query ids ``0 .. num_rows - 1``; each row's indices come out
-    sorted ascending.  Used by the few remaining pair producers (e.g. the
-    triangle-mode ablation) to enter the CSR pipeline.
+    sorted ascending.  The triangle-mode launch uses it to rebuild its CSR
+    after collapsing triangle hits onto their owning points.
     """
     q = np.asarray(q, dtype=np.intp)
     p = np.asarray(p, dtype=np.intp)
@@ -50,19 +46,6 @@ def pairs_to_csr(
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, p[order]
-
-
-def csr_to_pairs(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a CSR adjacency back into ``(query, neighbour)`` pair arrays.
-
-    This *materialises* the redundant query column — it exists only for the
-    legacy ``neighbor_pairs`` protocol surface and for small result sets
-    (e.g. streaming window updates); the clustering pipelines consume CSR
-    directly.
-    """
-    return csr_row_ids(indptr), np.asarray(indices, dtype=np.intp)
 
 
 def csr_row_ids(indptr: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Provides the acceleration structure the simulated RT device builds over the
 ε-sphere scene: SoA node storage, an LBVH-style Morton builder (the hardware
-analogue), a binned SAH builder (for quality ablations), batched point/ray
+analogue), a binned SAH builder (for quality ablations), batched point-query
 traversal kernels with operation counters, and refit/quality helpers.
 """
 
@@ -15,8 +15,6 @@ from .traversal import (
     TraversalStats,
     point_query_counts_early_exit,
     point_query_csr,
-    point_query_pairs,
-    ray_query_pairs,
 )
 
 __all__ = [
@@ -29,8 +27,6 @@ __all__ = [
     "sah_cost",
     "leaf_occupancy",
     "TraversalStats",
-    "point_query_pairs",
     "point_query_counts_early_exit",
     "point_query_csr",
-    "ray_query_pairs",
 ]

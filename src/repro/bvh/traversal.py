@@ -24,9 +24,8 @@ frontier expansion is a single fancy-index gather per level.
 :func:`point_query_csr` is the stage-2 workhorse: it confirms candidates
 chunk-by-chunk with the caller's Intersection program and emits a canonical
 CSR adjacency directly, so the full candidate pair set — typically several
-times the confirmed set — never exists in memory.  The legacy
-:func:`point_query_pairs` (all candidates, materialised) is kept for
-callers that genuinely need raw candidates.
+times the confirmed set — never exists in memory.
+:func:`point_query_counts_early_exit` is its counting twin for stage 1.
 
 Every kernel reports a :class:`TraversalStats` record with the operation
 counts the device timing model (``repro.perf``) converts into simulated
@@ -46,10 +45,8 @@ from .node import BVH
 
 __all__ = [
     "TraversalStats",
-    "point_query_pairs",
     "point_query_counts_early_exit",
     "point_query_csr",
-    "ray_query_pairs",
 ]
 
 #: below this many queries a Morton sort costs more than the coherence wins.
@@ -135,7 +132,7 @@ def _traverse_chunk(
     Walks one launch chunk's ``(query, node)`` frontier, charges the node /
     leaf / candidate counters, and hands each level's candidate expansion to
     ``on_leaf(rep_q, rep_p)`` — the only part that differs between the
-    pair-emitting, counting and CSR kernels.  ``prune`` (early exit) filters
+    counting and CSR kernels.  ``prune`` (early exit) filters
     the next level's frontier by query id.
     """
     leaf_mask = bvh.leaf_mask
@@ -167,55 +164,6 @@ def _traverse_chunk(
             still_active = prune(q)
             q, nodes = q[still_active], nodes[still_active]
     stats.levels = max(stats.levels, level)
-
-
-def point_query_pairs(
-    bvh: BVH,
-    points: np.ndarray,
-    *,
-    chunk_size: int = 16384,
-) -> tuple[np.ndarray, np.ndarray, TraversalStats]:
-    """Find all candidate ``(query, primitive)`` pairs for point queries.
-
-    A pair ``(i, j)`` is emitted whenever query point ``i`` lies inside the
-    AABB of primitive-owning leaf ``j`` reached during traversal; the exact
-    primitive test (the Intersection program) is applied by the caller.
-
-    This kernel *materialises the full candidate set*; pipelines that only
-    need the confirmed adjacency should use :func:`point_query_csr`, which
-    confirms chunk-by-chunk and keeps peak memory proportional to one chunk.
-
-    Parameters
-    ----------
-    bvh:
-        The acceleration structure.
-    points:
-        ``(n, 3)`` query points (ray origins of the ε-rays).
-    chunk_size:
-        Number of queries traversed per frontier pass; bounds peak memory.
-
-    Returns
-    -------
-    (query_idx, prim_idx, stats)
-        Candidate pair arrays (unsorted) and the traversal statistics.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    nq = points.shape[0]
-    stats = TraversalStats(queries=nq)
-    out_q: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-
-    def on_leaf(rep_q: np.ndarray, rep_p: np.ndarray) -> None:
-        out_q.append(rep_q)
-        out_p.append(rep_p)
-
-    for lo_q in range(0, nq, chunk_size):
-        hi_q = min(nq, lo_q + chunk_size)
-        _traverse_chunk(bvh, points, _coherent_chunk(points, lo_q, hi_q), stats, on_leaf)
-
-    query_idx = np.concatenate(out_q) if out_q else np.empty(0, dtype=np.intp)
-    prim_idx = np.concatenate(out_p) if out_p else np.empty(0, dtype=np.intp)
-    return query_idx, prim_idx, stats
 
 
 def point_query_counts_early_exit(
@@ -297,8 +245,8 @@ def point_query_csr(
     -------
     (indptr, indices, stats)
         Canonical CSR over the ``nq`` query rows; ``stats`` carries the same
-        operation counts a :func:`point_query_pairs` + confirm pipeline
-        would have charged (the traversal is identical).
+        operation counts :func:`point_query_counts_early_exit` charges
+        without ``min_count`` (the traversal is identical).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     nq = points.shape[0]
@@ -331,74 +279,3 @@ def point_query_csr(
     np.cumsum(row_counts, out=indptr[1:])
     indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
     return indptr, indices, stats
-
-
-def ray_query_pairs(
-    bvh: BVH,
-    origins: np.ndarray,
-    directions: np.ndarray,
-    tmin: np.ndarray,
-    tmax: np.ndarray,
-    *,
-    chunk_size: int = 16384,
-) -> tuple[np.ndarray, np.ndarray, TraversalStats]:
-    """General ray traversal using the slab test (used by triangle mode and tests).
-
-    Returns candidate ``(ray, primitive)`` pairs whose leaf AABB was hit by the
-    ray's parametric interval.
-    """
-    origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    tmin = np.broadcast_to(np.asarray(tmin, dtype=np.float64), (origins.shape[0],))
-    tmax = np.broadcast_to(np.asarray(tmax, dtype=np.float64), (origins.shape[0],))
-    with np.errstate(divide="ignore"):
-        inv_dirs = 1.0 / directions
-    nq = origins.shape[0]
-    stats = TraversalStats(queries=nq)
-    leaf_mask = bvh.leaf_mask
-    children = bvh.children
-    out_q: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-
-    for lo_q in range(0, nq, chunk_size):
-        hi_q = min(nq, lo_q + chunk_size)
-        q = _coherent_chunk(origins, lo_q, hi_q)
-        nodes = np.zeros(q.shape[0], dtype=np.intp)
-        level = 0
-        while q.size:
-            level += 1
-            stats.node_visits += int(q.size)
-            lo = bvh.node_lower[nodes]
-            hi = bvh.node_upper[nodes]
-            o = origins[q]
-            inv = inv_dirs[q]
-            t0 = (lo - o) * inv
-            t1 = (hi - o) * inv
-            tnear = np.where(np.isnan(np.minimum(t0, t1)), -np.inf, np.minimum(t0, t1))
-            tfar = np.where(np.isnan(np.maximum(t0, t1)), np.inf, np.maximum(t0, t1))
-            enter = np.maximum(tnear.max(axis=1), tmin[q])
-            exit_ = np.minimum(tfar.min(axis=1), tmax[q])
-            keep = enter <= exit_
-            q, nodes = q[keep], nodes[keep]
-            if q.size == 0:
-                break
-            leaf = leaf_mask[nodes]
-            if leaf.any():
-                leaf_q = q[leaf]
-                leaf_nodes = nodes[leaf]
-                stats.leaf_visits += int(leaf_nodes.size)
-                idx = _expand_leaf_ranges(bvh, leaf_nodes)
-                rep_q = np.repeat(leaf_q, bvh.prim_count[leaf_nodes])
-                rep_p = bvh.prim_indices[idx]
-                stats.candidates += int(rep_p.size)
-                out_q.append(rep_q)
-                out_p.append(rep_p)
-            internal = ~leaf
-            inodes = nodes[internal]
-            q = np.repeat(q[internal], 2)
-            nodes = children[inodes].reshape(-1)
-        stats.levels = max(stats.levels, level)
-
-    query_idx = np.concatenate(out_q) if out_q else np.empty(0, dtype=np.intp)
-    prim_idx = np.concatenate(out_p) if out_p else np.empty(0, dtype=np.intp)
-    return query_idx, prim_idx, stats

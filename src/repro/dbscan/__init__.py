@@ -9,7 +9,7 @@ label helpers are shared with the GPU baselines in :mod:`repro.baselines`.
 
 from .classic import ClassicDBSCAN, classic_dbscan
 from .disjoint_set import DisjointSet, ParallelDisjointSet
-from .formation import FormationResult, form_clusters, form_clusters_csr
+from .formation import FormationResult, form_clusters_csr
 from .labels import PointClass, classify_points, labels_from_roots
 from .params import NOISE, UNCLASSIFIED, DBSCANParams, DBSCANResult, canonicalize_labels
 from .rt_dbscan import RTDBSCAN, rt_dbscan
@@ -20,7 +20,6 @@ __all__ = [
     "DisjointSet",
     "ParallelDisjointSet",
     "FormationResult",
-    "form_clusters",
     "form_clusters_csr",
     "PointClass",
     "classify_points",

@@ -8,19 +8,18 @@ canonical labelling.  Keeping this in one place is what guarantees that a
 re-labelling with a different ``min_pts`` — or a run on a different search
 substrate — produces bit-identical labels to a fresh fit.
 
-:func:`form_clusters_csr` is the primary entry point: it consumes the CSR
-adjacency the backends produce (see :mod:`repro.adjacency`) **directly**,
-walking the rows in bounded chunks and expanding only the edges the forest
-actually needs (core–core union edges and border attachments) — the flat
-``(q, p)`` pair arrays are never materialised.  :func:`form_clusters` keeps
-the legacy pair-array surface for callers that already hold flat pairs.
+:func:`form_clusters_csr` consumes the CSR adjacency the backends produce
+(see :mod:`repro.adjacency`) **directly**, walking the rows in bounded chunks
+and expanding only the edges the forest actually needs (core–core union
+edges and border attachments) — the flat ``(q, p)`` pair arrays are never
+materialised.
 
-Both entry points are deterministic functions of the pair *multiset* and the
-core mask — the batched min-hooking union is order-independent, border
-attachment reduces to "lowest-indexed neighbouring core wins", and the final
-numbering depends only on cluster membership — so they produce identical
-labels *and identical union/atomic operation counts* for any representation
-of the same adjacency.
+The result is a deterministic function of the pair *multiset* and the core
+mask — the batched min-hooking union is order-independent, border attachment
+reduces to "lowest-indexed neighbouring core wins", and the final numbering
+depends only on cluster membership — so any row order or segmentation of the
+same adjacency yields identical labels *and identical union/atomic operation
+counts*.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ import numpy as np
 from ..adjacency import expand_ranges
 from .disjoint_set import ParallelDisjointSet
 from .labels import labels_from_roots
-from .params import canonicalize_labels
 
-__all__ = ["FormationResult", "form_clusters", "form_clusters_csr"]
+__all__ = ["FormationResult", "form_clusters_csr"]
 
 #: CSR rows processed per expansion step — bounds the transient edge buffers.
 _ROW_CHUNK = 262_144
@@ -50,35 +48,6 @@ class FormationResult:
     num_unions: int
     #: atomic border attachments performed — for the device cost model.
     num_atomics: int
-
-
-def _finish(
-    n: int,
-    core_mask: np.ndarray,
-    union_a: np.ndarray,
-    union_b: np.ndarray,
-    border_children: np.ndarray,
-    border_parents: np.ndarray,
-) -> FormationResult:
-    """Shared tail: one batched union pass, deterministic attach, labelling."""
-    forest = ParallelDisjointSet(n)
-    forest.union_edges(union_a, union_b)
-
-    if border_children.size:
-        order = np.lexsort((border_parents, border_children))
-        border_children = border_children[order]
-        border_parents = border_parents[order]
-    forest.attach(border_children, border_parents)
-
-    roots = forest.roots()
-    assigned = np.zeros(n, dtype=bool)
-    assigned[np.unique(border_children)] = True
-    labels = labels_from_roots(roots, core_mask, assigned_mask=assigned)
-    return FormationResult(
-        labels=canonicalize_labels(labels),
-        num_unions=forest.num_unions,
-        num_atomics=forest.num_atomics,
-    )
 
 
 def form_clusters_csr(
@@ -146,33 +115,22 @@ def form_clusters_csr(
         bp.append(cq[~both_core])
 
     empty = np.empty(0, dtype=np.intp)
-    return _finish(
-        n,
-        core_mask,
-        np.concatenate(ua) if ua else empty,
-        np.concatenate(ub) if ub else empty,
-        np.concatenate(bc) if bc else empty,
-        np.concatenate(bp) if bp else empty,
+    forest = ParallelDisjointSet(n)
+    forest.union_edges(
+        np.concatenate(ua) if ua else empty, np.concatenate(ub) if ub else empty
     )
+    border_children = np.concatenate(bc) if bc else empty
+    border_parents = np.concatenate(bp) if bp else empty
+    if border_children.size:
+        order = np.lexsort((border_parents, border_children))
+        border_children = border_children[order]
+        border_parents = border_parents[order]
+    forest.attach(border_children, border_parents)
 
-
-def form_clusters(
-    q_hit: np.ndarray, p_hit: np.ndarray, core_mask: np.ndarray
-) -> FormationResult:
-    """Form clusters from confirmed ε-pairs and a core mask (legacy surface).
-
-    Identical semantics to :func:`form_clusters_csr` — deterministic in the
-    pair multiset — for callers that already hold flat pair arrays (e.g. the
-    streaming engine's incremental updates).
-    """
-    core_mask = np.asarray(core_mask, dtype=bool)
-    n = core_mask.shape[0]
-    q_hit = np.asarray(q_hit, dtype=np.intp)
-    p_hit = np.asarray(p_hit, dtype=np.intp)
-
-    from_core = core_mask[q_hit]
-    cq, cp = q_hit[from_core], p_hit[from_core]
-    both_core = core_mask[cp]
-    return _finish(
-        n, core_mask, cq[both_core], cp[both_core], cp[~both_core], cq[~both_core]
+    assigned = np.zeros(n, dtype=bool)
+    assigned[border_children] = True
+    return FormationResult(
+        labels=labels_from_roots(forest.roots(), core_mask, assigned_mask=assigned),
+        num_unions=forest.num_unions,
+        num_atomics=forest.num_atomics,
     )

@@ -25,8 +25,8 @@ stages) for every substrate.
 For datasets that outgrow one device (or to use more host cores),
 :class:`~repro.partition.tiled.TiledRTDBSCAN` runs this same pipeline
 shard-locally over spatial tiles with ε-halo ghost regions and stitches the
-shards with the stage-2 :func:`~repro.dbscan.formation.form_clusters` pass —
-labels stay bit-identical to this class's.
+shards with the stage-2 :func:`~repro.dbscan.formation.form_clusters_csr`
+pass — labels stay bit-identical to this class's.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ class RTDBSCAN(ClustererMixin):
             # ---------------------------------------------------------- #
             with timer.phase("core_identification") as counts:
                 if self.triangle_mode:
-                    # Triangle hits over-count per-sphere intersections, so
-                    # the counts come from the deduplicated hit adjacency.
+                    # Triangle mode launches once: stage 2 reuses this
+                    # deduplicated adjacency.
                     indptr, indices, stats1 = finder.neighbor_csr()
                     neighbor_counts = np.diff(indptr)
                 else:

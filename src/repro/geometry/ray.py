@@ -3,9 +3,9 @@
 The RT-DBSCAN reduction launches an *infinitesimally short* ray from every
 query point (``t`` in ``[0, 1e-16]``).  Such a ray behaves like a point
 query: it intersects exactly the solid primitives that contain its origin.
-We keep the full parametric ray machinery anyway so that the simulated RT
-device can also serve conventional ray-tracing launches (used in tests and
-in the triangle-mode experiment of Section VI-C).
+The simulated RT device therefore runs every launch, triangle mode included,
+as a point query; the parametric ray tests here are the reference that
+reduction is checked against.
 """
 
 from __future__ import annotations

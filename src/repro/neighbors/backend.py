@@ -11,9 +11,7 @@ with the dataset's own points as the default queries and self pairs excluded
 (the paper's ``q != s`` filter).  Every backend produces the CSR
 **chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
 never materialised as an intermediate; peak memory is one block's candidate
-working set plus the adjacency itself.  The legacy ``neighbor_pairs()``
-surface survives as a thin expansion of the CSR for callers that still want
-flat pair arrays.
+working set plus the adjacency itself.
 
 The RT-core ray query of Algorithm 2
 (:class:`~repro.neighbors.rt_find.RTNeighborFinder`) is one implementation;
@@ -33,7 +31,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import csr_row_ids, expand_ranges
+from ..adjacency import expand_ranges
 from ..api.registry import register_backend
 from ..bvh.traversal import point_query_counts_early_exit, point_query_csr
 from ..geometry.transforms import ensure_points3d
@@ -67,14 +65,10 @@ class NeighborBackend(Protocol):
     def num_prims(self) -> int: ...
 
     def neighbor_counts(
-        self, queries: np.ndarray | None = None, *, min_count: int | None = None
+        self, queries: np.ndarray | None = None
     ) -> tuple[np.ndarray, LaunchStats]: ...
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
-
-    def neighbor_pairs(
         self, queries: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
 
@@ -107,7 +101,7 @@ class _HostNeighborBackend:
     ``build_seconds`` and optionally a device-memory allocation) and
     ``_scan()`` — the blocked query sweep that yields per-row hit counts,
     optionally the CSR index fragments, and the charged candidate /
-    node-visit totals.  Counts, CSR and pair queries all derive from it.
+    node-visit totals.  Count and CSR queries both derive from it.
     """
 
     points: np.ndarray
@@ -170,15 +164,12 @@ class _HostNeighborBackend:
 
     # ------------------------------------------------------------------ #
     def neighbor_counts(
-        self, queries: np.ndarray | None = None, *, min_count: int | None = None
+        self, queries: np.ndarray | None = None
     ) -> tuple[np.ndarray, LaunchStats]:
         """ε-neighbour count per query (self excluded for dataset queries).
 
-        ``min_count`` is an early-exit hint the host backends cannot exploit;
-        it is accepted for protocol compatibility and ignored.  No neighbour
-        ids are stored — this is a pure counting sweep.
+        No neighbour ids are stored — this is a pure counting sweep.
         """
-        del min_count
         qpts, self_query = self._resolve_queries(queries)
         row_counts, _, candidates, node_visits = self._scan(qpts, self_query, collect=False)
         stats = self._charge(
@@ -201,17 +192,6 @@ class _HostNeighborBackend:
             node_visits=node_visits, confirmed=int(indices.size),
         )
         return indptr, indices, stats
-
-    def neighbor_pairs(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Legacy pair-array surface: the CSR expanded to flat ``(q, p)``.
-
-        Materialises the redundant query column; pipelines should consume
-        :meth:`neighbor_csr` directly.
-        """
-        indptr, indices, stats = self.neighbor_csr(queries)
-        return csr_row_ids(indptr), indices, stats
 
     def release(self) -> None:
         """Free the simulated device-side index."""

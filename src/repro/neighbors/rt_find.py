@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import csr_row_ids
 from ..api.registry import register_backend
 from ..geometry.transforms import ensure_points3d
 from ..rtcore.counters import LaunchStats
@@ -50,8 +49,9 @@ class RTNeighborFinder:
         Acceleration-structure and launch parameters forwarded to the
         pipeline.
     triangle_mode:
-        When True the spheres are tessellated into triangles and hits are
-        routed through the AnyHit program (the Section VI-C ablation).
+        When True the spheres are tessellated into triangles and each
+        confirmed triangle hit is charged an AnyHit call that maps it back
+        to its sphere (the Section VI-C ablation).
     """
 
     points: np.ndarray
@@ -133,20 +133,19 @@ class RTNeighborFinder:
         )
 
     def neighbor_counts(
-        self, queries: np.ndarray | None = None, *, min_count: int | None = None
+        self, queries: np.ndarray | None = None
     ) -> tuple[np.ndarray, LaunchStats]:
         """Count ε-neighbours for each query point.
 
         ``queries`` defaults to the dataset itself (the DBSCAN use case), in
         which case the point's own sphere is excluded from its count.
         Arbitrary external query points are also supported (no self filter).
+        Counts always equal the row lengths of :meth:`neighbor_csr`.
         """
         if queries is None:
-            return self.group.launch_counts(self.points, min_count=min_count)
+            return self.group.launch_counts(self.points)
         pts = ensure_points3d(queries, name="queries")
-        return self.group.launch_counts(
-            pts, programs=self._external_programs(pts), min_count=min_count
-        )
+        return self.group.launch_counts(pts, programs=self._external_programs(pts))
 
     def neighbor_csr(
         self, queries: np.ndarray | None = None
@@ -162,18 +161,6 @@ class RTNeighborFinder:
             return self.group.launch_csr(self.points)
         pts = ensure_points3d(queries, name="queries")
         return self.group.launch_csr(pts, programs=self._external_programs(pts))
-
-    def neighbor_pairs(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """All confirmed ``(query, neighbour)`` pairs within ε (legacy surface).
-
-        Self pairs are excluded when querying the dataset against itself.
-        Materialises the redundant query column; pipelines should consume
-        :meth:`neighbor_csr` directly.
-        """
-        indptr, indices, stats = self.neighbor_csr(queries)
-        return csr_row_ids(indptr), indices, stats
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:
         """Per-query neighbour index lists (convenience wrapper for examples)."""

@@ -2,7 +2,7 @@
 
 ``RTDevice`` stands in for the RTX 2060 testbed; ``ScenePipeline`` reproduces
 the OptiX pipeline of Fig. 2 (bounds program → hardware BVH build → hardware
-traversal → Intersection/AnyHit programs); ``owl`` offers the OWL-flavoured
+traversal → Intersection program); ``owl`` offers the OWL-flavoured
 facade the paper's implementation is written against.
 """
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..geometry.sphere import SphereGeometry
 from ..geometry.triangle import TriangleGeometry, tessellate_spheres
-from .counters import LaunchStats
 from .device import RTDevice
 from .pipeline import ScenePipeline
 from .programs import ProgramGroup, sphere_intersection_program
@@ -59,32 +58,23 @@ class OWLGroup:
     pipeline: ScenePipeline
     build_seconds: float = 0.0
 
-    def launch_hits(self, points: np.ndarray, programs: ProgramGroup | None = None):
-        """Launch ε-rays from ``points`` and return confirmed hit pairs."""
+    def _programs(self, programs: ProgramGroup | None) -> ProgramGroup:
         progs = programs or self.geom.geom_type.programs
         if progs is None:
             raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_hit_queries(points, progs)
+        return progs
 
     def launch_csr(self, points: np.ndarray, programs: ProgramGroup | None = None):
         """Launch ε-rays from ``points``; confirmed hits come back as CSR.
 
-        The zero-materialisation counterpart of :meth:`launch_hits`: returns
-        ``(indptr, indices, stats)`` with identical charged operation counts
-        but without ever materialising the candidate pair arrays.
+        Returns ``(indptr, indices, stats)``: row ``q`` lists the confirmed
+        neighbours of ``points[q]`` in ascending order.
         """
-        progs = programs or self.geom.geom_type.programs
-        if progs is None:
-            raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_csr_queries(points, progs)
+        return self.pipeline.launch_csr_queries(points, self._programs(programs))
 
-    def launch_counts(self, points: np.ndarray, programs: ProgramGroup | None = None,
-                      *, min_count: int | None = None):
+    def launch_counts(self, points: np.ndarray, programs: ProgramGroup | None = None):
         """Launch ε-rays from ``points`` and return per-ray confirmed-hit counts."""
-        progs = programs or self.geom.geom_type.programs
-        if progs is None:
-            raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_counts_with(points, progs, min_count)
+        return self.pipeline.launch_count_queries(points, self._programs(programs))
 
     def refit_accel(self) -> float:
         """Refit the acceleration structure to the geometry's current bounds.
@@ -97,15 +87,6 @@ class OWLGroup:
 
     def release(self) -> None:
         self.pipeline.release()
-
-
-# ``launch_counts_with`` is a tiny adapter so OWLGroup keeps a stable surface
-# even if the pipeline signature evolves.
-def _launch_counts_with(self: ScenePipeline, points, programs, min_count):
-    return self.launch_count_queries(points, programs, min_count=min_count)
-
-
-ScenePipeline.launch_counts_with = _launch_counts_with  # type: ignore[attr-defined]
 
 
 @dataclass

@@ -9,12 +9,14 @@ The pipeline mirrors the structure of Fig. 2 in the paper:
     build cost;
 3.  ``launch_*`` generates one query ray per input point, traverses the BVH
     in "hardware" (the vectorised frontier kernels of :mod:`repro.bvh`), and
-    invokes the user's Intersection program once per candidate primitive and
-    the optional AnyHit program once per confirmed hit.
+    invokes the user's Intersection program once per candidate primitive;
+    triangle mode also pays one AnyHit invocation per confirmed triangle hit
+    (the program that records the hit against the triangle's sphere).
 
-Every launch returns a :class:`LaunchStats` record with the operation counts
-and the simulated device time, which the DBSCAN implementations aggregate
-into their per-phase reports.
+A launch returns either per-query hit counts or a canonical CSR adjacency
+(see :mod:`repro.adjacency`), together with a :class:`LaunchStats` record of
+the operation counts and the simulated device time, which the DBSCAN
+implementations aggregate into their per-phase reports.
 """
 
 from __future__ import annotations
@@ -23,17 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import pairs_to_csr
+from ..adjacency import csr_row_ids, pairs_to_csr
 from ..bvh.lbvh import build_lbvh
 from ..bvh.node import BVH
 from ..bvh.refit import refit as refit_bvh
 from ..bvh.sah import build_sah
-from ..bvh.traversal import (
-    point_query_counts_early_exit,
-    point_query_csr,
-    point_query_pairs,
-)
-from ..bvh.traversal import TraversalStats
+from ..bvh.traversal import TraversalStats, point_query_counts_early_exit, point_query_csr
 from ..geometry.sphere import SphereGeometry
 from ..geometry.transforms import ensure_points3d
 from ..geometry.triangle import TriangleGeometry
@@ -194,50 +191,6 @@ class ScenePipeline:
         stats.simulated_seconds = self.device.charge(counts)
 
     # ------------------------------------------------------------------ #
-    def launch_hit_queries(
-        self, points: np.ndarray, programs: ProgramGroup
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Launch one ε-ray per point and return all confirmed hits.
-
-        Returns ``(query_idx, prim_idx, stats)`` where each pair is a
-        confirmed intersection (the Intersection program returned True).
-        When the geometry is a triangle tessellation, ``prim_idx`` is mapped
-        back to the owning data-point index and duplicate (query, owner)
-        pairs are collapsed, matching what the AnyHit-based implementation in
-        the paper would record.
-        """
-        bvh = self._require_accel()
-        pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        q_idx, p_idx, traversal = point_query_pairs(bvh, pts, chunk_size=self.chunk_size)
-
-        stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
-        stats.intersection_calls = int(p_idx.size)
-        if p_idx.size:
-            hit = np.asarray(programs.intersection(q_idx, p_idx), dtype=bool)
-        else:
-            hit = np.zeros(0, dtype=bool)
-        q_hit, p_hit = q_idx[hit], p_idx[hit]
-
-        if self.is_triangle_mode:
-            # Triangle hits must be routed through AnyHit to be recorded and
-            # mapped back to the tessellated sphere's owner point.
-            stats.anyhit_calls = int(q_hit.size)
-            owners = self.geometry.owners[p_hit]
-            keys = q_hit.astype(np.int64) * np.int64(self.num_owner_points()) + owners
-            _, first = np.unique(keys, return_index=True)
-            q_hit, p_hit = q_hit[first], owners[first]
-        elif programs.anyhit is not None:
-            stats.anyhit_calls = int(q_hit.size)
-            programs.anyhit(q_hit, p_hit)
-
-        if programs.miss is not None:
-            missed = np.setdiff1d(np.arange(pts.shape[0]), q_hit, assume_unique=False)
-            programs.miss(missed)
-
-        stats.confirmed_hits = int(q_hit.size)
-        self._charge_launch(stats)
-        return q_hit, p_hit, stats
-
     def launch_csr_queries(
         self, points: np.ndarray, programs: ProgramGroup
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
@@ -247,21 +200,12 @@ class ScenePipeline:
         the Intersection program chunk-by-chunk inside the traversal and the
         confirmed neighbour lists come back in canonical CSR form
         (``indptr``, ``indices``) — the full candidate pair set never exists
-        in memory.  The charged operation counts are identical to a
-        :meth:`launch_hit_queries` call over the same points (the traversal,
-        candidate set and confirmed set are the same).
+        in memory.
 
-        Geometries that need per-hit AnyHit routing (triangle mode) or
-        miss-program callbacks fall back to the materialising launch and
-        convert, preserving those programs' once-per-launch semantics.
+        In triangle mode a sphere is hit through several of its triangles:
+        each confirmed triangle hit is charged one AnyHit call and collapsed
+        to its owning data point, so row ``q`` lists every neighbour once.
         """
-        if self.is_triangle_mode or programs.anyhit is not None or programs.miss is not None:
-            q_hit, p_hit, stats = self.launch_hit_queries(points, programs)
-            indptr, indices = pairs_to_csr(
-                q_hit, p_hit, np.atleast_2d(np.asarray(points)).shape[0]
-            )
-            return indptr, indices, stats
-
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         native = _native_sphere_query(bvh, pts, programs, collect=True)
@@ -273,64 +217,44 @@ class ScenePipeline:
             )
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
-        stats.confirmed_hits = traversal.confirmed
+        if self.is_triangle_mode:
+            stats.anyhit_calls = traversal.confirmed
+            n_owners = np.int64(self.num_owner_points())
+            keys = np.unique(
+                csr_row_ids(indptr) * n_owners + self.geometry.owners[indices]
+            )
+            indptr, indices = pairs_to_csr(keys // n_owners, keys % n_owners, pts.shape[0])
+        stats.confirmed_hits = int(indices.size)
         self._charge_launch(stats)
         return indptr, indices, stats
 
     def launch_count_queries(
-        self,
-        points: np.ndarray,
-        programs: ProgramGroup,
-        *,
-        min_count: int | None = None,
+        self, points: np.ndarray, programs: ProgramGroup
     ) -> tuple[np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and count confirmed hits per query.
 
         This is the launch RT-DBSCAN's core-point identification stage uses:
         the Intersection program increments a per-ray counter and nothing is
-        stored.  ``min_count`` enables the early-exit traversal used by the
-        FDBSCAN baseline (never by RT-DBSCAN itself, per Section VI-B).
+        stored.  Triangle mode counts the rows of the deduplicating
+        :meth:`launch_csr_queries` (a per-triangle tally would count a
+        neighbour once per triangle hit); it charges the same operations.
         """
+        if self.is_triangle_mode:
+            indptr, _, stats = self.launch_csr_queries(points, programs)
+            return np.diff(indptr), stats
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-
-        if (
-            min_count is None
-            and not self.is_triangle_mode
-            and programs.anyhit is None
-        ):
-            native = _native_sphere_query(bvh, pts, programs, collect=False)
-            if native is not None:
-                counts, traversal = native
-                stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
-                stats.intersection_calls = traversal.candidates
-                stats.confirmed_hits = traversal.confirmed
-                self._charge_launch(stats)
-                return counts, stats
-
-        stats = LaunchStats(num_rays=pts.shape[0])
-        anyhit_tally = {"calls": 0}
-
-        def confirm(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            hit = np.asarray(programs.intersection(q, p), dtype=bool)
-            if self.is_triangle_mode or programs.anyhit is not None:
-                anyhit_tally["calls"] += int(hit.sum())
-            return hit
-
-        counts, traversal = point_query_counts_early_exit(
-            bvh, pts, confirm, min_count=min_count, chunk_size=self.chunk_size
-        )
-        stats.traversal = traversal
+        native = _native_sphere_query(bvh, pts, programs, collect=False)
+        if native is not None:
+            counts, traversal = native
+        else:
+            counts, traversal = point_query_counts_early_exit(
+                bvh, pts, programs.intersection, chunk_size=self.chunk_size
+            )
+        stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
-        stats.anyhit_calls = anyhit_tally["calls"]
         stats.confirmed_hits = traversal.confirmed
         self._charge_launch(stats)
-
-        if self.is_triangle_mode:
-            # Counting triangle hits over-counts neighbours (a sphere is hit
-            # through many triangles); the triangle-mode DBSCAN path uses
-            # launch_hit_queries instead, so counts here are informational.
-            pass
         return counts, stats
 
     # ------------------------------------------------------------------ #

@@ -4,10 +4,13 @@ The OptiX pipeline (Fig. 2 of the paper) is assembled from user programs:
 RayGen generates rays, Intersection tests a ray against a custom primitive,
 AnyHit records every hit, ClosestHit reports the nearest hit and Miss handles
 rays that hit nothing.  BVH build and traversal are fixed-function and run on
-the RT cores.  The simulated pipeline keeps the same decomposition: each
-program is a plain Python callable with a documented vectorised signature, so
-algorithms can inject their clustering logic exactly where the paper does —
-inside the Intersection program.
+the RT cores.  RT-DBSCAN binds only RayGen and Intersection (Section IV
+disables AnyHit and ClosestHit to avoid their overhead), so the simulated
+pipeline models just those two: a launch's query points play RayGen, and the
+Intersection program is a plain Python callable with a documented vectorised
+signature, so algorithms inject their clustering logic exactly where the
+paper does.  The triangle-mode ablation's AnyHit cost is charged by the
+pipeline itself.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ import numpy as np
 
 __all__ = [
     "IntersectionProgram",
-    "AnyHitProgram",
-    "ClosestHitProgram",
-    "MissProgram",
     "RayGenProgram",
     "ProgramGroup",
     "sphere_intersection_program",
@@ -32,34 +32,20 @@ __all__ = [
 #: pipeline, once per candidate produced by the hardware traversal.
 IntersectionProgram = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-#: An AnyHit program is invoked once per *confirmed* hit; it may carry out
-#: side effects (e.g. appending to a hit list) and returns nothing.
-AnyHitProgram = Callable[[np.ndarray, np.ndarray], None]
-
-#: A ClosestHit program receives, per query, the primitive of the nearest
-#: confirmed hit (or -1).
-ClosestHitProgram = Callable[[np.ndarray, np.ndarray], None]
-
-#: A Miss program receives the indices of queries with no confirmed hit.
-MissProgram = Callable[[np.ndarray], None]
-
 #: A RayGen program produces the query points / rays for a launch.
 RayGenProgram = Callable[[], np.ndarray]
 
 
 @dataclass
 class ProgramGroup:
-    """The set of user programs bound to a geometry for a launch.
+    """The user programs bound to a geometry for a launch.
 
-    Only the Intersection program is mandatory for custom primitives; the
-    paper explicitly disables AnyHit and ClosestHit to avoid their overhead
-    (Section IV), so they default to ``None`` here as well.
+    ``payload`` carries optional launch descriptors, such as the
+    ``native_sphere`` record the native tier replicates the sphere
+    Intersection program from.
     """
 
     intersection: IntersectionProgram
-    anyhit: AnyHitProgram | None = None
-    closesthit: ClosestHitProgram | None = None
-    miss: MissProgram | None = None
     name: str = "program-group"
     payload: dict = field(default_factory=dict)
 

@@ -414,12 +414,14 @@ class StreamingRTDBSCAN(ClustererMixin):
         # Stage 1 (incremental): counts from the new points' rays only.
         # ------------------------------------------------------------ #
         promoted = np.empty(0, dtype=np.intp)
-        new_q = new_p = np.empty(0, dtype=np.intp)
+        new_lens = np.empty(0, dtype=np.int64)
+        new_hits = np.empty(0, dtype=np.intp)
         with timer.phase("core_update") as counts:
             if k:
-                new_q, new_p, stats = self.scene.query_pairs(new_slots)
+                indptr, new_hits, stats = self.scene.query_csr(new_slots)
                 counts.merge(stats.counts)
-                promoted = self._apply_count_deltas(new_slots, new_q, new_p)
+                new_lens = np.diff(indptr)
+                promoted = self._apply_count_deltas(new_slots, new_lens, new_hits)
 
         # ------------------------------------------------------------ #
         # Stage 2: monotone merge, or full re-cluster after a core loss.
@@ -428,17 +430,19 @@ class StreamingRTDBSCAN(ClustererMixin):
             if need_full:
                 self._forest = ParallelDisjointSet(self.scene.capacity)
                 self._anchor[:] = -1
-                core_slots = np.flatnonzero(self._core & (self._arrival >= 0))
-                q, p, stats = self.scene.query_pairs(core_slots)
+                rows = np.flatnonzero(self._core & (self._arrival >= 0))
+                indptr, hits, stats = self.scene.query_csr(rows)
                 counts.merge(stats.counts)
+                lens = np.diff(indptr)
             elif promoted.size:
-                pq, pp, stats = self.scene.query_pairs(promoted)
+                indptr, hits, stats = self.scene.query_csr(promoted)
                 counts.merge(stats.counts)
-                q = np.concatenate([new_q, pq])
-                p = np.concatenate([new_p, pp])
+                rows = np.concatenate([new_slots, promoted])
+                lens = np.concatenate([new_lens, np.diff(indptr)])
+                hits = np.concatenate([new_hits, hits])
             else:
-                q, p = new_q, new_p
-            unions, atomics = self._apply_pairs(q, p)
+                rows, lens, hits = new_slots, new_lens, new_hits
+            unions, atomics = self._apply_pairs(np.repeat(rows, lens), hits)
             counts.union_ops += unions
             counts.atomic_ops += atomics
             self.device.charge(OpCounts(union_ops=unions, atomic_ops=atomics))
@@ -484,7 +488,7 @@ class StreamingRTDBSCAN(ClustererMixin):
         cluster structure of the survivors; border and noise evictions just
         decrement cached counts.
         """
-        q, p, stats = self.scene.query_pairs(evict_slots)
+        _, p, stats = self.scene.query_csr(evict_slots)
         counts.merge(stats.counts)
 
         evicted_core = bool(self._core[evict_slots].any())
@@ -508,18 +512,19 @@ class StreamingRTDBSCAN(ClustererMixin):
         return evicted_core or bool(demoted.size)
 
     def _apply_count_deltas(
-        self, new_slots: np.ndarray, q: np.ndarray, p: np.ndarray
+        self, new_slots: np.ndarray, hit_counts: np.ndarray, p: np.ndarray
     ) -> np.ndarray:
         """Fold the new points' ray hits into the cached neighbour counts.
 
-        Returns the *promoted* slots: existing points pushed over the
-        ``min_pts`` threshold by the arrivals.
+        ``hit_counts[i]`` is the number of confirmed hits of ``new_slots[i]``'s
+        ray and ``p`` the hit slots of all rays.  Returns the *promoted*
+        slots: existing points pushed over the ``min_pts`` threshold by the
+        arrivals.
         """
-        cap = self.scene.capacity
-        new_mask = np.zeros(cap, dtype=bool)
+        new_mask = np.zeros(self.scene.capacity, dtype=bool)
         new_mask[new_slots] = True
         # Each new point's count is exactly its own ray's confirmed hits.
-        self._counts[new_slots] = np.bincount(q, minlength=cap)[new_slots]
+        self._counts[new_slots] = hit_counts
         # Every hit onto an existing point adds one neighbour there.
         inc = p[~new_mask[p]]
         np.add.at(self._counts, inc, 1)

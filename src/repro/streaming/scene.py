@@ -304,24 +304,6 @@ class StreamingScene:
         )
         return self.pipeline.launch_csr_queries(qpts, programs)
 
-    def query_pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """ε-rays from the given (active) slots against the whole scene.
-
-        Returns ``(query_slot, hit_slot, stats)`` pairs in slot space —
-        the expanded form of :meth:`query_csr`, sized by the window's live
-        edge set (small per update), not by any candidate intermediate.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return (
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=np.intp),
-                LaunchStats(),
-            )
-        indptr, indices, stats = self.query_csr(slots)
-        q_rows = np.repeat(slots, np.diff(indptr))
-        return q_rows, indices, stats
-
     def release(self) -> None:
         """Free the device-side scene."""
         if self.pipeline is not None:

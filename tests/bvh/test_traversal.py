@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.bvh import build_lbvh, build_sah, point_query_counts_early_exit, point_query_pairs, ray_query_pairs
+from repro.adjacency import csr_row_ids
+from repro.bvh import build_lbvh, build_sah, point_query_counts_early_exit, point_query_csr
 from repro.geometry.aabb import AABB, aabb_contains_points
 
 coords = st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False)
@@ -27,13 +28,21 @@ def _brute_candidates(bounds: AABB, queries: np.ndarray) -> set[tuple[int, int]]
     return set(zip(q.tolist(), prim.tolist()))
 
 
+def _candidates(bvh, queries, **kwargs):
+    """Every candidate ``(query, primitive)`` pair: an accept-all CSR launch."""
+    indptr, indices, stats = point_query_csr(
+        bvh, queries, lambda q, p: np.ones(q.size, dtype=bool), **kwargs
+    )
+    return csr_row_ids(indptr), indices, stats
+
+
 @pytest.mark.parametrize("builder", [build_lbvh, build_sah])
 class TestPointQueryPairs:
     def test_candidates_complete_and_exact_after_filtering(self, builder):
         centers, bounds = _scene(200)
         bvh = builder(bounds, leaf_size=4)
         queries = centers[:50]
-        qi, pi, stats = point_query_pairs(bvh, queries)
+        qi, pi, stats = _candidates(bvh, queries)
         got = set(zip(qi.tolist(), pi.tolist()))
         expected = _brute_candidates(bounds, queries)
         # Completeness: every true box containment must appear as a candidate
@@ -50,36 +59,37 @@ class TestPointQueryPairs:
     def test_no_duplicate_pairs(self, builder):
         centers, bounds = _scene(150)
         bvh = builder(bounds, leaf_size=4)
-        qi, pi, _ = point_query_pairs(bvh, centers)
+        qi, pi, _ = _candidates(bvh, centers)
         pairs = list(zip(qi.tolist(), pi.tolist()))
         assert len(pairs) == len(set(pairs))
 
     def test_self_candidate_always_present(self, builder):
         centers, bounds = _scene(100)
         bvh = builder(bounds, leaf_size=4)
-        qi, pi, _ = point_query_pairs(bvh, centers)
+        qi, pi, _ = _candidates(bvh, centers)
         self_pairs = set(zip(range(100), range(100)))
         assert self_pairs.issubset(set(zip(qi.tolist(), pi.tolist())))
 
     def test_far_query_has_no_candidates(self, builder):
         centers, bounds = _scene(100)
         bvh = builder(bounds, leaf_size=4)
-        qi, pi, _ = point_query_pairs(bvh, np.array([[1000.0, 1000.0, 1000.0]]))
+        qi, pi, _ = _candidates(bvh, np.array([[1000.0, 1000.0, 1000.0]]))
         assert qi.size == 0 and pi.size == 0
 
     def test_chunking_gives_identical_results(self, builder):
         centers, bounds = _scene(200)
         bvh = builder(bounds, leaf_size=4)
-        qi1, pi1, _ = point_query_pairs(bvh, centers, chunk_size=7)
-        qi2, pi2, _ = point_query_pairs(bvh, centers, chunk_size=100000)
-        assert set(zip(qi1.tolist(), pi1.tolist())) == set(zip(qi2.tolist(), pi2.tolist()))
+        qi1, pi1, _ = _candidates(bvh, centers, chunk_size=7)
+        qi2, pi2, _ = _candidates(bvh, centers, chunk_size=100000)
+        np.testing.assert_array_equal(qi1, qi2)
+        np.testing.assert_array_equal(pi1, pi2)
 
     def test_stats_counters_consistent(self, builder):
         centers, bounds = _scene(100)
         bvh = builder(bounds, leaf_size=4)
-        qi, _, stats = point_query_pairs(bvh, centers)
+        qi, _, stats = _candidates(bvh, centers)
         assert stats.queries == 100
-        assert stats.candidates == qi.size
+        assert stats.candidates == stats.confirmed == qi.size
         assert stats.node_visits >= 100  # at least the root per query
         assert stats.leaf_visits >= 1
         assert stats.levels >= 1
@@ -90,7 +100,7 @@ class TestPointQueryPairs:
     def test_property_candidate_completeness(self, builder, pts, radius):
         bounds = AABB.from_spheres(pts, radius)
         bvh = builder(bounds, leaf_size=3)
-        qi, pi, _ = point_query_pairs(bvh, pts)
+        qi, pi, _ = _candidates(bvh, pts)
         got = set(zip(qi.tolist(), pi.tolist()))
         assert _brute_candidates(bounds, pts).issubset(got)
 
@@ -130,31 +140,3 @@ class TestEarlyExitCounts:
         bvh = build_lbvh(bounds, leaf_size=2)
         counts, _ = point_query_counts_early_exit(bvh, centers, self._confirm(centers, 1e-9))
         assert (counts == 1).all()  # each point confirms only itself
-
-
-class TestRayQueryPairs:
-    def test_axis_ray_hits_expected_boxes(self):
-        centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [10.0, 0.0, 0.0]])
-        bounds = AABB.from_spheres(centers, 0.5)
-        bvh = build_lbvh(bounds, leaf_size=1)
-        qi, pi, _ = ray_query_pairs(
-            bvh,
-            origins=np.array([[0.0, 0.0, -10.0]]),
-            directions=np.array([[0.0, 0.0, 1.0]]),
-            tmin=np.array([0.0]),
-            tmax=np.array([100.0]),
-        )
-        assert set(pi.tolist()) == {0, 1}
-
-    def test_infinitesimal_ray_equals_point_query(self):
-        centers, bounds = _scene(120, radius=1.0)
-        bvh = build_lbvh(bounds, leaf_size=4)
-        qi_p, pi_p, _ = point_query_pairs(bvh, centers)
-        qi_r, pi_r, _ = ray_query_pairs(
-            bvh,
-            origins=centers,
-            directions=np.broadcast_to([0.0, 0.0, 1.0], centers.shape).copy(),
-            tmin=np.zeros(len(centers)),
-            tmax=np.full(len(centers), 1e-16),
-        )
-        assert set(zip(qi_p.tolist(), pi_p.tolist())) == set(zip(qi_r.tolist(), pi_r.tolist()))

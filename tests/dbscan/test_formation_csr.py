@@ -1,4 +1,4 @@
-"""form_clusters_csr: CSR-consuming stage 2 is bit-identical to the pair path."""
+"""form_clusters_csr: CSR-consuming stage 2 is bit-identical to a pair oracle."""
 
 from __future__ import annotations
 
@@ -7,8 +7,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adjacency import pairs_to_csr
-from repro.dbscan.formation import form_clusters, form_clusters_csr
+from repro.adjacency import csr_row_ids, pairs_to_csr
+from repro.api.registry import make_backend
+from repro.bench.experiments import calibrate_eps
+from repro.data.registry import generate
+from repro.data.synthetic import make_blobs
+from repro.dbscan.disjoint_set import ParallelDisjointSet
+from repro.dbscan.formation import FormationResult, form_clusters_csr
+from repro.dbscan.labels import labels_from_roots
+
+
+def _formation_from_pairs(
+    q_hit: np.ndarray, p_hit: np.ndarray, core_mask: np.ndarray
+) -> FormationResult:
+    """Oracle: stage 2 from flat ``(query, neighbour)`` pair arrays.
+
+    Core-row pairs are split into core–core union edges and border
+    attachments, which go through one batched union pass and a
+    lowest-core-first attach — the same semantics ``form_clusters_csr``
+    implements on the CSR rows.
+    """
+    core_mask = np.asarray(core_mask, dtype=bool)
+    n = core_mask.shape[0]
+    q_hit = np.asarray(q_hit, dtype=np.intp)
+    p_hit = np.asarray(p_hit, dtype=np.intp)
+    from_core = core_mask[q_hit]
+    cq, cp = q_hit[from_core], p_hit[from_core]
+    both_core = core_mask[cp]
+
+    forest = ParallelDisjointSet(n)
+    forest.union_edges(cq[both_core], cp[both_core])
+    children, parents = cp[~both_core], cq[~both_core]
+    order = np.lexsort((parents, children))
+    forest.attach(children[order], parents[order])
+    assigned = np.zeros(n, dtype=bool)
+    assigned[children] = True
+    return FormationResult(
+        labels=labels_from_roots(forest.roots(), core_mask, assigned_mask=assigned),
+        num_unions=forest.num_unions,
+        num_atomics=forest.num_atomics,
+    )
 
 
 def _random_adjacency(rng: np.random.Generator, n: int, m: int):
@@ -32,7 +70,28 @@ class TestFormClustersCSR:
         core = rng.random(n) < min_core_fraction
         indptr, indices = pairs_to_csr(q, p, n)
 
-        ref = form_clusters(q, p, core)
+        ref = _formation_from_pairs(q, p, core)
+        got = form_clusters_csr(indptr, indices, core)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        assert got.num_unions == ref.num_unions
+        assert got.num_atomics == ref.num_atomics
+
+    @pytest.mark.parametrize("data", ["blobs", "ngsim"])
+    @pytest.mark.parametrize("min_pts", [2, 5, 12])
+    def test_matches_pair_formation_on_backend_adjacency(self, data, min_pts):
+        if data == "blobs":
+            pts, _ = make_blobs(420, centers=4, std=0.25, seed=11)
+            eps = 0.3
+        else:
+            pts = generate("ngsim", 500, seed=29)
+            eps = calibrate_eps(pts, 10, 0.5)
+        backend = make_backend("kdtree", pts, eps)
+        try:
+            indptr, indices, _ = backend.neighbor_csr()
+        finally:
+            backend.release()
+        core = np.diff(indptr) >= min_pts
+        ref = _formation_from_pairs(csr_row_ids(indptr), indices, core)
         got = form_clusters_csr(indptr, indices, core)
         np.testing.assert_array_equal(got.labels, ref.labels)
         assert got.num_unions == ref.num_unions
@@ -71,7 +130,7 @@ class TestFormClustersCSR:
         q, p = _random_adjacency(rng, n, m)
         core = rng.random(n) < threshold
         indptr, indices = pairs_to_csr(q, p, n)
-        ref = form_clusters(q, p, core)
+        ref = _formation_from_pairs(q, p, core)
         got = form_clusters_csr(indptr, indices, core)
         np.testing.assert_array_equal(got.labels, ref.labels)
         assert got.num_unions == ref.num_unions

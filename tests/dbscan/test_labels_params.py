@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dbscan.disjoint_set import ParallelDisjointSet
 from repro.dbscan.labels import PointClass, classify_points, labels_from_roots
 from repro.dbscan.params import (
     NOISE,
@@ -76,6 +79,29 @@ class TestLabelsFromRoots:
         roots = np.arange(5)
         core = np.zeros(5, dtype=bool)
         assert (labels_from_roots(roots, core) == NOISE).all()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=80),
+        m=st.integers(min_value=0, max_value=160),
+        core_frac=st.floats(min_value=0.0, max_value=1.0),
+        assigned_frac=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_output_is_already_canonical(
+        self, seed, n, m, core_frac, assigned_frac
+    ):
+        # Cluster formation returns labels_from_roots unchanged: that is only
+        # sound if canonicalize_labels is an identity on its output.
+        rng = np.random.default_rng(seed)
+        forest = ParallelDisjointSet(n)
+        forest.union_edges(rng.integers(0, n, m), rng.integers(0, n, m))
+        core = rng.random(n) < core_frac
+        assigned = rng.random(n) < assigned_frac
+        labels = labels_from_roots(forest.roots(), core, assigned_mask=assigned)
+        canonical = canonicalize_labels(labels)
+        np.testing.assert_array_equal(canonical, labels)
+        assert canonical.dtype == labels.dtype
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,44 @@ class TestRTDBSCANCorrectness:
         ref = classic_dbscan(pts, eps=0.4, min_pts=5)
         got = RTDBSCAN(eps=0.4, min_pts=5, triangle_mode=True).fit(pts)
         assert compare_results(ref, got, points=pts).equivalent
+
+    @pytest.mark.parametrize(
+        "subdivisions, phases",
+        [
+            (0, {
+                "bvh_build": {"bvh_build_prims": 4000, "kernel_launches": 1},
+                "core_identification": {
+                    "rt_node_visits": 43608, "intersection_calls": 25227,
+                    "anyhit_calls": 14125, "kernel_launches": 1,
+                },
+                "cluster_formation": {"union_ops": 2907, "atomic_ops": 37},
+            }),
+            (1, {
+                "bvh_build": {"bvh_build_prims": 16000, "kernel_launches": 1},
+                "core_identification": {
+                    "rt_node_visits": 47204, "intersection_calls": 15852,
+                    "anyhit_calls": 7806, "kernel_launches": 1,
+                },
+                "cluster_formation": {"union_ops": 2453, "atomic_ops": 41},
+            }),
+        ],
+        ids=["subdivisions0", "subdivisions1"],
+    )
+    def test_triangle_mode_pinned(self, subdivisions, phases):
+        # Labels and per-phase op counts pinned from the pair-launch
+        # implementation the CSR launch replaced; borders and noise included.
+        pts, _ = make_blobs(200, centers=3, std=0.3, seed=8)
+        got = RTDBSCAN(
+            eps=0.3, min_pts=8, triangle_mode=True, triangle_subdivisions=subdivisions
+        ).fit(pts)
+        labels = np.ascontiguousarray(got.labels, dtype=np.int64)
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == (
+            "427bd13d2e2af610f7d17cb1eb59cb937fc869ad6fbcf4cb109429642ffded9f"
+        )
+        assert {
+            p.name: {k: v for k, v in dataclasses.asdict(p.counts).items() if v}
+            for p in got.report.phases
+        } == phases
 
     def test_sah_builder_equivalent(self, blob_points):
         ref = classic_dbscan(blob_points, eps=0.5, min_pts=5)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adjacency import csr_row_ids
 from repro.api.registry import make_backend
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
@@ -37,8 +38,8 @@ def ngsim():
     return pts, calibrate_eps(pts, 10, 0.5)
 
 
-def _pair_set(q: np.ndarray, p: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(q.tolist(), p.tolist()))
+def _pair_set(indptr: np.ndarray, indices: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(csr_row_ids(indptr).tolist(), indices.tolist()))
 
 
 class TestBackendProtocol:
@@ -108,9 +109,9 @@ class TestBackendEquivalence:
         oracle = make_backend("brute", pts, eps)
         backend = make_backend(name, pts, eps)
         try:
-            eq, ep_, _ = oracle.neighbor_pairs()
-            gq, gp, _ = backend.neighbor_pairs()
-            assert _pair_set(gq, gp) == _pair_set(eq, ep_)
+            e_ptr, e_idx, _ = oracle.neighbor_csr()
+            g_ptr, g_idx, _ = backend.neighbor_csr()
+            assert _pair_set(g_ptr, g_idx) == _pair_set(e_ptr, e_idx)
         finally:
             backend.release()
             oracle.release()

@@ -2,12 +2,12 @@
 
 Property suite for the zero-materialisation pair pipeline:
 
-* the CSR each backend emits is permutation-identical to the legacy pair
-  arrays (oracle: a naive all-pairs sweep computed independently here);
+* the CSR each backend emits holds exactly the ε-pairs of a naive
+  all-pairs sweep computed independently here;
 * the CSR is canonical — query-ordered rows, ascending indices — so all
   four backends produce *byte-identical* arrays;
-* ``form_clusters`` output is bit-identical whether stage 2 consumes pairs
-  or CSR (including the charged union/atomic counts);
+* ``form_clusters_csr`` output is bit-identical for any row segmentation of
+  the same adjacency (including the charged union/atomic counts);
 * no backend materialises a full ε-pair (or candidate-pair) intermediate:
   the tracemalloc peak of a ``neighbor_csr`` sweep stays within a block-sized
   budget that the legacy pipeline exceeded by an order of magnitude.
@@ -20,18 +20,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.adjacency import concat_csr, csr_row_ids, csr_to_pairs, expand_ranges, pairs_to_csr
+from repro.adjacency import concat_csr, csr_row_ids, expand_ranges, pairs_to_csr
 from repro.api.registry import make_backend
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.data.synthetic import make_blobs
-from repro.dbscan.formation import form_clusters, form_clusters_csr
+from repro.dbscan.formation import form_clusters_csr
 
 BACKENDS = ["rt", "grid", "kdtree", "brute"]
 
 
 def _naive_pairs(qpts: np.ndarray, data: np.ndarray, eps: float, *, self_query: bool):
-    """Independent oracle: the legacy pair arrays, computed the naive way."""
+    """Independent oracle: the ε-pairs as flat arrays, computed the naive way."""
     d2 = ((qpts[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
     q, p = np.nonzero(d2 <= eps * eps)
     if self_query:
@@ -69,7 +69,7 @@ class TestCSRMatchesLegacyPairs:
             indptr, indices, _ = backend.neighbor_csr()
         finally:
             backend.release()
-        q, p = csr_to_pairs(indptr, indices)
+        q, p = csr_row_ids(indptr), indices
         assert set(zip(q.tolist(), p.tolist())) == set(zip(q_ref.tolist(), p_ref.tolist()))
         assert q.size == q_ref.size  # multiset, not just set
 
@@ -116,30 +116,12 @@ class TestCSRMatchesLegacyPairs:
             indptr, indices, _ = backend.neighbor_csr(queries)
         finally:
             backend.release()
-        q, p = csr_to_pairs(indptr, indices)
+        q, p = csr_row_ids(indptr), indices
         assert set(zip(q.tolist(), p.tolist())) == set(zip(q_ref.tolist(), p_ref.tolist()))
         assert q.size == q_ref.size
 
 
 class TestFormationEquivalence:
-    @pytest.mark.parametrize("data", ["blobs", "ngsim"])
-    @pytest.mark.parametrize("min_pts", [2, 5, 12])
-    def test_form_clusters_bit_identical_pairs_vs_csr(self, request, data, min_pts):
-        pts, eps = request.getfixturevalue(data)
-        backend = make_backend("kdtree", pts, eps)
-        try:
-            counts, _ = backend.neighbor_counts()
-            indptr, indices, _ = backend.neighbor_csr()
-        finally:
-            backend.release()
-        core = counts >= min_pts
-        q, p = csr_to_pairs(indptr, indices)
-        by_pairs = form_clusters(q, p, core)
-        by_csr = form_clusters_csr(indptr, indices, core)
-        np.testing.assert_array_equal(by_pairs.labels, by_csr.labels)
-        assert by_pairs.num_unions == by_csr.num_unions
-        assert by_pairs.num_atomics == by_csr.num_atomics
-
     def test_segmented_rows_match_dense_rows(self, blobs):
         """The tiled merge's segmented CSR (shuffled row blocks) is equivalent."""
         pts, eps = blobs
@@ -179,7 +161,7 @@ class TestFormationEquivalence:
         rng = np.random.default_rng(0)
         perm = rng.permutation(q_ref.size)
         indptr, indices = pairs_to_csr(q_ref[perm], p_ref[perm], len(pts))
-        q, p = csr_to_pairs(indptr, indices)
+        q, p = csr_row_ids(indptr), indices
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(p, p_ref)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.adjacency import csr_row_ids
 from repro.neighbors.brute import (
     brute_force_neighbor_counts,
     brute_force_neighbors,
@@ -91,10 +92,10 @@ class TestRTNeighborFinder:
         pts = _points(100, seed=4)
         queries = _points(20, seed=5)
         finder = RTNeighborFinder(pts, 1.0)
-        qi, pi, _ = finder.neighbor_pairs(queries)
+        indptr, indices, _ = finder.neighbor_csr(queries)
         d2 = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         exp_q, exp_p = np.nonzero(d2 <= 1.0)
-        got = set(zip(qi.tolist(), pi.tolist()))
+        got = set(zip(csr_row_ids(indptr).tolist(), indices.tolist()))
         # External queries never coincide with data points here, so the only
         # difference from the raw distance test is the self-exclusion filter,
         # which does not apply.
@@ -115,6 +116,23 @@ class TestRTNeighborFinder:
         tri_lists, _ = rt_find_neighbors(pts, 0.8, triangle_mode=True)
         for a, b in zip(sphere_lists, tri_lists):
             assert set(a.tolist()) == set(b.tolist())
+
+    @pytest.mark.parametrize("subdivisions", [0, 1])
+    def test_triangle_mode_counts_are_csr_row_lengths(self, subdivisions):
+        # A sphere is hit through several of its triangles; the counts must
+        # still be one per neighbour, and cost what the CSR launch costs.
+        pts = _points(150, seed=7)
+        queries = _points(20, seed=8)
+        finder = RTNeighborFinder(
+            pts, 0.9, triangle_mode=True, triangle_subdivisions=subdivisions
+        )
+        for q in (None, queries):
+            counts, count_stats = finder.neighbor_counts(q)
+            indptr, _, csr_stats = finder.neighbor_csr(q)
+            np.testing.assert_array_equal(counts, np.diff(indptr))
+            assert count_stats.counts == csr_stats.counts
+            assert count_stats.simulated_seconds == csr_stats.simulated_seconds
+        finder.release()
 
     @given(pts=arrays(np.float64, (25, 2), elements=coords2d),
            eps=st.floats(min_value=0.05, max_value=5.0))

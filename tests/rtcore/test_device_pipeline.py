@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adjacency import csr_row_ids
 from repro.geometry.sphere import SphereGeometry
 from repro.perf.cost_model import DeviceCostModel, OpCounts
 from repro.perf.memory import DeviceMemoryError
@@ -74,7 +75,7 @@ class TestScenePipeline:
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)
         programs = ProgramGroup(intersection=sphere_intersection_program(centers, 0.5))
         with pytest.raises(RuntimeError, match="build_accel"):
-            pipe.launch_hit_queries(centers, programs)
+            pipe.launch_csr_queries(centers, programs)
 
     def test_unknown_builder_raises(self):
         centers, geom = _sphere_scene()
@@ -82,7 +83,7 @@ class TestScenePipeline:
         with pytest.raises(ValueError, match="builder"):
             pipe.build_accel()
 
-    def test_hit_queries_match_brute_force(self):
+    def test_csr_queries_match_brute_force(self):
         centers, geom = _sphere_scene(150, radius=0.8)
         dev = RTDevice()
         pipe = ScenePipeline(device=dev, geometry=geom)
@@ -90,52 +91,25 @@ class TestScenePipeline:
         programs = ProgramGroup(
             intersection=sphere_intersection_program(centers, 0.8, exclude_self=True)
         )
-        qi, pi, stats = pipe.launch_hit_queries(centers, programs)
-        got = set(zip(qi.tolist(), pi.tolist()))
+        indptr, indices, stats = pipe.launch_csr_queries(centers, programs)
+        got = set(zip(csr_row_ids(indptr).tolist(), indices.tolist()))
         d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         exp_q, exp_p = np.nonzero((d2 <= 0.8**2) & ~np.eye(len(centers), dtype=bool))
         assert got == set(zip(exp_q.tolist(), exp_p.tolist()))
         assert stats.confirmed_hits == len(got)
         assert stats.simulated_seconds > 0
 
-    def test_count_queries_match_hit_queries(self):
+    def test_count_queries_match_csr_queries(self):
         centers, geom = _sphere_scene(120, radius=0.6)
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)
         pipe.build_accel()
         programs = ProgramGroup(
             intersection=sphere_intersection_program(centers, 0.6, exclude_self=True)
         )
-        counts, _ = pipe.launch_count_queries(centers, programs)
-        qi, _, _ = pipe.launch_hit_queries(centers, programs)
-        np.testing.assert_array_equal(counts, np.bincount(qi, minlength=len(centers)))
-
-    def test_anyhit_program_invoked_and_charged(self):
-        centers, geom = _sphere_scene(60, radius=0.7)
-        dev = RTDevice()
-        pipe = ScenePipeline(device=dev, geometry=geom)
-        pipe.build_accel()
-        seen = []
-        programs = ProgramGroup(
-            intersection=sphere_intersection_program(centers, 0.7, exclude_self=True),
-            anyhit=lambda q, p: seen.append(q.size),
-        )
-        _, _, stats = pipe.launch_hit_queries(centers, programs)
-        assert sum(seen) == stats.confirmed_hits
-        assert stats.anyhit_calls == stats.confirmed_hits
-        assert dev.total_counts.anyhit_calls == stats.confirmed_hits
-
-    def test_miss_program_sees_isolated_queries(self):
-        centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        geom = SphereGeometry(centers, 0.5)
-        pipe = ScenePipeline(device=RTDevice(), geometry=geom)
-        pipe.build_accel()
-        missed = []
-        programs = ProgramGroup(
-            intersection=sphere_intersection_program(centers, 0.5, exclude_self=True),
-            miss=lambda idx: missed.extend(idx.tolist()),
-        )
-        pipe.launch_hit_queries(centers, programs)
-        assert set(missed) == {0, 1}
+        counts, count_stats = pipe.launch_count_queries(centers, programs)
+        indptr, _, csr_stats = pipe.launch_csr_queries(centers, programs)
+        np.testing.assert_array_equal(counts, np.diff(indptr))
+        assert count_stats.counts == csr_stats.counts
 
     def test_no_rt_cores_charges_sm_visits(self):
         centers, geom = _sphere_scene(80)
@@ -143,7 +117,7 @@ class TestScenePipeline:
         pipe = ScenePipeline(device=dev, geometry=geom)
         pipe.build_accel()
         programs = ProgramGroup(intersection=sphere_intersection_program(centers, 0.5))
-        pipe.launch_hit_queries(centers, programs)
+        pipe.launch_csr_queries(centers, programs)
         assert dev.total_counts.sm_node_visits > 0
         assert dev.total_counts.rt_node_visits == 0
 

@@ -154,11 +154,11 @@ class TestStreamingScene:
         scene.commit(RefitPolicy())
         scene.deallocate(slots[1:2])
         scene.commit(RefitPolicy())
-        q, p, _ = scene.query_pairs(slots[[0, 2]])
+        indptr, hits, _ = scene.query_csr(slots[[0, 2]])
         # With the middle sphere parked the remaining points are 0.6 apart —
         # beyond eps=0.5 — so no pair may survive, least of all one
         # involving the parked slot.
-        assert q.size == 0 and p.size == 0
+        assert indptr.tolist() == [0, 0, 0] and hits.size == 0
 
     def test_query_excludes_self_and_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -166,8 +166,8 @@ class TestStreamingScene:
         scene = StreamingScene(0.4, RTDevice(), initial_capacity=64)
         slots = scene.add(pts)
         scene.commit(RefitPolicy())
-        q, p, stats = scene.query_pairs(slots)
-        got = set(zip(q.tolist(), p.tolist()))
+        indptr, hits, stats = scene.query_csr(slots)
+        got = set(zip(np.repeat(slots, np.diff(indptr)).tolist(), hits.tolist()))
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         expect = {
             (i, j)
@@ -180,8 +180,8 @@ class TestStreamingScene:
 
     def test_empty_query_is_free(self):
         scene = self._scene()
-        q, p, stats = scene.query_pairs(np.empty(0, dtype=np.intp))
-        assert q.size == 0 and p.size == 0
+        indptr, hits, stats = scene.query_csr(np.empty(0, dtype=np.intp))
+        assert indptr.tolist() == [0] and hits.size == 0
         assert stats.counts.kernel_launches == 0
 
     def test_constructor_validation(self):
