@@ -1,7 +1,7 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Each benchmark file regenerates one table or figure of the paper (see
-DESIGN.md's experiment index).  Dataset sizes default to the scaled-down
+Each benchmark file regenerates one table or figure of the paper (see the
+figure-by-figure index in ``docs/paper_mapping.md``).  Dataset sizes default to the scaled-down
 configurations in :mod:`repro.bench.experiments` multiplied by
 ``REPRO_BENCH_SCALE`` (default 0.5) so the whole suite completes in minutes on
 a laptop; set the environment variable to 1.0 (or higher) for larger runs.

@@ -1,6 +1,6 @@
 """Ablation — acceleration-structure builder and device configuration.
 
-Not a figure from the paper, but an ablation DESIGN.md calls out: how much of
+Not a figure from the paper, but an ablation ``docs/paper_mapping.md`` lists: how much of
 RT-DBSCAN's advantage comes from the hardware traversal (RT cores present vs
 the same pipeline with BVH work priced at shader-core rates, which is how
 OptiX falls back on GPUs without RT cores), and how sensitive the result is

@@ -6,7 +6,7 @@ across ε for both algorithms, and RT-DBSCAN wins by a very large margin
 (~2500x on the authors' hardware — a margin attributed to opaque hardware BVH
 behaviour; the analytic cost model reproduces the flatness and the zero-
 cluster outcome, and the win direction once the pipeline setup is amortised,
-but not that magnitude; see EXPERIMENTS.md).
+but not that magnitude; see ``docs/paper_mapping.md``).
 """
 
 from __future__ import annotations

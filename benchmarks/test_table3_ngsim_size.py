@@ -5,7 +5,7 @@ and RT-DBSCAN wins by a very large margin at every size.  The analytic model
 reproduces the growth and gives RT-DBSCAN the win once the dataset is large
 enough to amortise the RT pipeline setup; the paper's extreme (10^3x-scale)
 margins stem from hardware BVH behaviour on this degenerate input that the
-authors themselves could not fully explain (see EXPERIMENTS.md).
+authors themselves could not fully explain (see ``docs/paper_mapping.md``).
 """
 
 from __future__ import annotations

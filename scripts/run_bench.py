@@ -9,29 +9,15 @@ scale, so it finishes in minutes on a single CPU.  CI runs it on every push
 ``BENCH_smoke.json`` as an artifact, which is what gives the project a
 recorded performance trajectory over time.
 
-The **perf** profile measures *host* performance rather than simulated device
-time: for every neighbour backend it runs RT-DBSCAN fits on the 50 K-point
-blobs scaling ladder in fresh subprocesses and records wall-clock seconds,
-peak RSS and the tracemalloc peak (the peak size of live Python/NumPy
-intermediates).  Backends with a compiled implementation (``[native]`` in
-``rt-dbscan list``) are measured twice per cell — once forced to pure numpy,
-once on the cffi kernel tier — and the paired cells are emitted under
-``perf.native_vs_numpy`` with their wall speedup and a proof that labels,
-counts and simulated seconds are identical.  ``--budget-file`` gates those
-speedups (``native_min_speedup`` / ``native_gate_min_n`` keys) in addition
-to the smoke wall budget.  Passing ``--baseline older_BENCH_perf.json``
-embeds the older records and per-configuration speedups, so successive
-snapshots form a wall-clock trajectory.  Labels are recorded as a SHA-256
-checksum and the simulated device seconds are carried verbatim, which is how
-a snapshot *proves* that a host-side optimisation changed neither the
-clustering output nor the cost-model accounting.
+The simulated seconds in these snapshots are the numbers compared with the
+paper.  Host wall-clock performance is measured by ``perfbench/run.py`` (see
+``BENCHMARK.json``), and the native kernel tier's parity and speedup gates
+live in ``benchmarks/test_native_kernels.py``.
 
 Usage::
 
     PYTHONPATH=src python scripts/run_bench.py                 # smoke profile
     PYTHONPATH=src python scripts/run_bench.py --profile full  # every experiment
-    PYTHONPATH=src python scripts/run_bench.py --profile perf \\
-        --baseline BENCH_perf.json --out BENCH_perf.json
     PYTHONPATH=src python scripts/run_bench.py --experiments scaling backends \\
         --scale 0.25 --workers 2 --out my_bench.json
 
@@ -43,21 +29,16 @@ e.g. ``nohup python scripts/run_bench.py --profile full &``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
-import resource
-import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro  # noqa: E402
 from repro.bench.experiments import (  # noqa: E402
-    calibrate_eps,
     list_experiments,
     list_streaming_experiments,
     run_experiment,
@@ -77,28 +58,10 @@ FULL = {
     "scale": 1.0,
 }
 
-#: the perf profile: host wall-clock / memory per backend on the blobs ladder.
-PERF = {
-    "dataset": "blobs",
-    "sizes": (12_500, 25_000, 50_000),
-    "backends": ("rt", "grid", "kdtree", "brute"),
-    "min_pts": 10,
-    "eps_quantile": 0.30,
-    "seed": 2023,
-}
-
-#: backends measured on both kernel tiers (must match the registry's
-#: ``native=True`` exact entries; since the parallel-tier PR that is every
-#: perf backend — kdtree shares the compiled BVH DFS kernel.  The approximate
-#: tier (lsh/sampled) is also native-capable, but its end-to-end wall is
-#: dominated by tier-independent candidate generation, so its compiled
-#: confirm pass is gated by the dedicated microbench below instead).
-NATIVE_BACKENDS = ("rt", "grid", "kdtree", "brute")
-
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=("smoke", "full", "perf"), default="smoke",
+    parser.add_argument("--profile", choices=("smoke", "full"), default="smoke",
                         help="experiment slice to run (default smoke)")
     parser.add_argument("--experiments", nargs="*", default=None, metavar="ID",
                         help="explicit experiment ids (overrides the profile slice)")
@@ -110,535 +73,21 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="sweep-cell parallelism via the ParallelMap executor")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default BENCH_<profile>.json)")
-    parser.add_argument("--baseline", default=None, metavar="JSON",
-                        help="perf profile: older BENCH_perf.json to compare against")
-    parser.add_argument("--perf-sizes", nargs="*", type=int, default=None, metavar="N",
-                        help="perf profile: explicit ladder sizes (overrides --scale)")
     parser.add_argument("--budget-file", default=None, metavar="JSON",
                         help="smoke budget: JSON with smoke_seconds_seed and "
                              "smoke_budget_factor; exit 3 when the run exceeds "
                              "seed seconds x factor")
-    parser.add_argument("--require-native", action="store_true",
-                        help="perf profile: fail (exit 3) unless the native "
-                             "tier built and produced paired cells — stops a "
-                             "CI native job from passing vacuously when the "
-                             "tier silently fell back to numpy")
-    parser.add_argument("--perf-child", default=None, help=argparse.SUPPRESS)
     return parser.parse_args(argv)
-
-
-# --------------------------------------------------------------------------- #
-# Perf profile: one (backend, size) measurement per fresh subprocess so that
-# peak RSS and tracemalloc peaks are attributable to a single configuration.
-# --------------------------------------------------------------------------- #
-def perf_child(config_json: str) -> int:
-    """Measure one RT-DBSCAN fit; print a JSON record on stdout."""
-    cfg = json.loads(config_json)
-
-    from repro.data.registry import generate
-    from repro.dbscan.rt_dbscan import RTDBSCAN
-
-    points = generate(cfg["dataset"], cfg["n"], seed=cfg["seed"])
-    clusterer = RTDBSCAN(
-        eps=cfg["eps"], min_pts=cfg["min_pts"], backend=cfg["backend"],
-        native=cfg.get("native"), native_threads=cfg.get("native_threads"),
-    )
-
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    t0 = time.perf_counter()
-    result = clusterer.fit(points)
-    wall = time.perf_counter() - t0
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    counts: dict[str, int] = {}
-    if result.report is not None:
-        for phase in result.report.phases:
-            for key, value in phase.counts.as_dict().items():
-                counts[key] = counts.get(key, 0) + int(value)
-
-    # Report the thread count the dispatcher actually resolved for this cell,
-    # so a snapshot read on another machine is self-describing.
-    import contextlib
-
-    from repro.native import dispatch as native_dispatch
-
-    nk = native_dispatch.kernels() if cfg.get("native") else None
-    if nk is None:
-        resolved_threads = 1
-    else:
-        tctx = (
-            native_dispatch.thread_override(cfg["native_threads"])
-            if cfg.get("native_threads") is not None
-            else contextlib.nullcontext()
-        )
-        with tctx:
-            resolved_threads = nk.resolve_threads()
-
-    record = {
-        "backend": cfg["backend"],
-        "dataset": cfg["dataset"],
-        "n": cfg["n"],
-        "eps": cfg["eps"],
-        "min_pts": cfg["min_pts"],
-        "kernel_tier": result.extra.get("kernel_tier", "numpy"),
-        "native_threads": cfg.get("native_threads"),
-        "resolved_threads": resolved_threads,
-        "wall_seconds": wall,
-        "ru_maxrss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
-        "tracemalloc_peak_bytes": int(traced_peak),
-        "num_clusters": result.num_clusters,
-        "num_noise": result.num_noise,
-        "labels_sha256": hashlib.sha256(
-            result.labels.astype("int64").tobytes()
-        ).hexdigest(),
-        "simulated_seconds": (
-            result.report.total_simulated_seconds if result.report else None
-        ),
-        "counts": counts,
-    }
-    print(json.dumps(record))
-    return 0
-
-
-def _run_perf_cell(cfg: dict) -> dict:
-    """Run one perf measurement in a fresh subprocess and parse its record."""
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()),
-         "--perf-child", json.dumps(cfg)],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        print(proc.stderr, file=sys.stderr)
-        raise RuntimeError(f"perf child failed for {cfg['backend']}@{cfg['n']}")
-    record = json.loads(proc.stdout.strip().splitlines()[-1])
-    print(f"[bench]   {record['wall_seconds']:.1f}s wall, "
-          f"{record['ru_maxrss_bytes'] / 2**20:.0f} MiB RSS, "
-          f"{record['tracemalloc_peak_bytes'] / 2**20:.0f} MiB traced peak",
-          flush=True)
-    return record
-
-
-def run_perf(args: argparse.Namespace, payload: dict) -> None:
-    """Drive the perf ladder, one subprocess per (size, backend) cell."""
-    import os
-
-    from repro.data.registry import generate
-
-    scale = args.scale if args.scale is not None else 1.0
-    if args.perf_sizes:
-        sizes = [int(s) for s in args.perf_sizes]
-    else:
-        sizes = [max(1_000, int(round(s * scale))) for s in PERF["sizes"]]
-    payload["meta"]["perf_config"] = {
-        **PERF, "sizes": sizes, "native_backends": NATIVE_BACKENDS,
-    }
-    # Probe the native tier once in the parent: the build lands in the shared
-    # on-disk cache, so child processes load it instead of racing to compile.
-    # When the tier is unavailable (no cffi / no compiler) the paired native
-    # cells are skipped rather than re-measuring numpy twice.
-    from repro.native import dispatch as native_dispatch
-
-    pair_native = native_dispatch.available()
-    if not pair_native:
-        print(f"[bench] native tier unavailable "
-              f"({native_dispatch.status()['fallback_reason']}); "
-              f"running numpy cells only", flush=True)
-    cpu_count = os.cpu_count() or 1
-    payload["meta"]["cpu_count"] = cpu_count
-    if pair_native:
-        status = native_dispatch.status()
-        payload["meta"]["native"] = {
-            "variant": status["variant"],
-            "openmp": status["openmp"],
-            "max_threads": status["max_threads"],
-        }
-
-    records = []
-    for n in sizes:
-        points = generate(PERF["dataset"], n, seed=PERF["seed"])
-        eps = calibrate_eps(points, PERF["min_pts"], PERF["eps_quantile"])
-        for backend in PERF["backends"]:
-            # Backends with a compiled path run the identical cell on both
-            # kernel tiers; single-tier backends run pure numpy only.
-            tiers = (False, True) if pair_native and backend in NATIVE_BACKENDS else (False,)
-            for native in tiers:
-                cfg = {
-                    "dataset": PERF["dataset"], "n": n, "seed": PERF["seed"],
-                    "eps": eps, "min_pts": PERF["min_pts"], "backend": backend,
-                    "native": native,
-                }
-                tier = "native" if native else "numpy"
-                print(f"[bench] perf {backend}@{n} [{tier}] (eps={eps:.5g}) ...",
-                      flush=True)
-                records.append(_run_perf_cell(cfg))
-    payload["perf"] = {"records": records}
-
-    # Paired numpy-vs-native cells: the native tier must prove byte-identical
-    # labels, identical charged counts and identical simulated seconds; the
-    # wall speedup is what the budget file gates.
-    comparisons = []
-    for rec in records:
-        if rec["kernel_tier"] != "native":
-            continue
-        base = next(
-            (b for b in records
-             if b["backend"] == rec["backend"] and b["n"] == rec["n"]
-             and b["kernel_tier"] == "numpy"),
-            None,
-        )
-        if base is None:
-            continue
-        comparisons.append({
-            "backend": rec["backend"],
-            "n": rec["n"],
-            "numpy_wall_seconds": base["wall_seconds"],
-            "native_wall_seconds": rec["wall_seconds"],
-            "wall_speedup": base["wall_seconds"] / max(rec["wall_seconds"], 1e-9),
-            "labels_identical": base["labels_sha256"] == rec["labels_sha256"],
-            "counts_identical": base["counts"] == rec["counts"],
-            "simulated_seconds_identical": (
-                base["simulated_seconds"] == rec["simulated_seconds"]
-            ),
-        })
-    payload["perf"]["native_vs_numpy"] = comparisons
-    for c in comparisons:
-        print(f"[bench] native {c['backend']}@{c['n']}: "
-              f"{c['wall_speedup']:.2f}x wall speedup, "
-              f"labels_identical={c['labels_identical']}, "
-              f"counts_identical={c['counts_identical']}", flush=True)
-
-    # Thread-scaling curves: the largest ladder size on every native backend,
-    # swept over an explicit thread axis.  Every cell must reproduce the
-    # 1-thread bytes exactly (per-thread CSR fragments merge in query order);
-    # the speedup-vs-1-thread column is what the budget file gates on
-    # multi-core hosts.  On a serial build or a 1-core box the axis collapses
-    # to [1], which still records an honest (1.0x) curve.
-    if pair_native:
-        nk = native_dispatch.kernels()
-        max_threads = nk.openmp_max_threads() if nk.has_openmp else 1
-        thread_axis = sorted({t for t in (1, 2, 4, max_threads) if 1 <= t <= max_threads})
-        n_top = sizes[-1]
-        points = generate(PERF["dataset"], n_top, seed=PERF["seed"])
-        eps = calibrate_eps(points, PERF["min_pts"], PERF["eps_quantile"])
-        scaling_records = []
-        for backend in NATIVE_BACKENDS:
-            cells = []
-            for nthreads in thread_axis:
-                print(f"[bench] perf {backend}@{n_top} [native, {nthreads}t] ...",
-                      flush=True)
-                cells.append(_run_perf_cell({
-                    "dataset": PERF["dataset"], "n": n_top, "seed": PERF["seed"],
-                    "eps": eps, "min_pts": PERF["min_pts"], "backend": backend,
-                    "native": True, "native_threads": nthreads,
-                }))
-            base = cells[0]
-            for nthreads, rec in zip(thread_axis, cells):
-                scaling_records.append({
-                    "backend": backend,
-                    "n": n_top,
-                    "threads": nthreads,
-                    "resolved_threads": rec["resolved_threads"],
-                    "wall_seconds": rec["wall_seconds"],
-                    "speedup_vs_1_thread": (
-                        base["wall_seconds"] / max(rec["wall_seconds"], 1e-9)
-                    ),
-                    "labels_identical": rec["labels_sha256"] == base["labels_sha256"],
-                    "counts_identical": rec["counts"] == base["counts"],
-                    "simulated_seconds_identical": (
-                        rec["simulated_seconds"] == base["simulated_seconds"]
-                    ),
-                })
-        payload["perf"]["thread_scaling"] = {
-            "threads_axis": thread_axis,
-            "max_threads": max_threads,
-            "cpu_count": cpu_count,
-            "records": scaling_records,
-        }
-        for r in scaling_records:
-            print(f"[bench] threads {r['backend']}@{r['n']} x{r['threads']}: "
-                  f"{r['speedup_vs_1_thread']:.2f}x vs 1 thread, "
-                  f"labels_identical={r['labels_identical']}", flush=True)
-
-        # The approximate tier's exact-distance confirm pass, isolated: the
-        # lsh backend's end-to-end wall is dominated by tier-independent
-        # candidate generation (hashing + pair dedupe grow superlinearly), so
-        # pairing full lsh fits would measure the wrong thing.  This times
-        # the confirm step alone — the numpy einsum path vs the compiled
-        # pair kernel — on a deduped pair stream shaped like lsh's.
-        import numpy as np
-
-        rng = np.random.default_rng(PERF["seed"])
-        r2 = eps * eps
-        nq_mb = min(2048, n_top)
-        per_q = min(64, n_top)
-        points = np.ascontiguousarray(points)
-        block = np.ascontiguousarray(points[:nq_mb])
-        rep = np.repeat(np.arange(nq_mb, dtype=np.intp), per_q)
-        raw = rng.integers(0, n_top, size=nq_mb * per_q)
-        pair_key = np.unique(rep.astype(np.int64) * n_top + raw)
-        rep_q = (pair_key // n_top).astype(np.intp)
-        cand = (pair_key % n_top).astype(np.intp)
-        cands_i64 = np.ascontiguousarray(cand, dtype=np.int64)
-        pair_indptr = np.ascontiguousarray(
-            np.searchsorted(rep_q, np.arange(nq_mb + 1)), dtype=np.int64
-        )
-
-        def numpy_confirm():
-            d = block[rep_q] - points[cand]
-            hit = np.einsum("ij,ij->i", d, d) <= r2
-            hit &= rep_q != cand
-            rc = np.bincount(rep_q[hit], minlength=nq_mb).astype(np.int64)
-            return rc, cand[hit]
-
-        def native_confirm():
-            rc = np.zeros(nq_mb, dtype=np.int64)
-            if not nk.confirm_pairs(block, 0, points, cands_i64, pair_indptr,
-                                    r2, True, row_counts=rc):
-                raise RuntimeError("confirm_pairs rejected the microbench arrays")
-            indptr = np.zeros(nq_mb + 1, dtype=np.int64)
-            np.cumsum(rc, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.intp)
-            nk.confirm_pairs(block, 0, points, cands_i64, pair_indptr, r2,
-                             True, indptr=indptr, indices=indices)
-            return rc, indices
-
-        rc_np, ix_np = numpy_confirm()
-        rc_nat, ix_nat = native_confirm()
-        identical = bool(
-            np.array_equal(rc_np, rc_nat)
-            and np.array_equal(ix_np.astype(np.int64), ix_nat.astype(np.int64))
-        )
-
-        def best_of(fn, reps=9):
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        numpy_wall = best_of(numpy_confirm)
-        native_wall = best_of(native_confirm)
-        payload["perf"]["confirm_kernel"] = {
-            "n_points": n_top,
-            "queries": nq_mb,
-            "pairs": int(rep_q.size),
-            "hits": int(rc_np.sum()),
-            "numpy_wall_seconds": numpy_wall,
-            "native_wall_seconds": native_wall,
-            "wall_speedup": numpy_wall / max(native_wall, 1e-12),
-            "identical": identical,
-        }
-        print(f"[bench] confirm kernel: {rep_q.size} pairs, "
-              f"{payload['perf']['confirm_kernel']['wall_speedup']:.2f}x wall "
-              f"speedup, identical={identical}", flush=True)
-
-    # Speedup-vs-agreement sweep of the approximate tier: every knob setting
-    # of the lsh/sampled backends against the exact brute baseline, so the
-    # perf snapshot records each approximate speedup next to its error bar.
-    from repro.bench.experiments import run_approx_experiment
-    from repro.bench.report import format_agreement_table
-
-    print("[bench] perf approx agreement sweep ...", flush=True)
-    approx_records = run_approx_experiment("approx", scale=scale)
-    payload["perf"]["approx"] = [r.as_dict() for r in approx_records]
-    print(format_agreement_table(
-        approx_records,
-        title="[bench] approximate tier: speedup vs agreement (baseline rt-dbscan@brute)",
-    ), flush=True)
-
-    # Multi-tenant serving: interleaved skewed feeds through the session
-    # layer (micro-batching on) against a serial one-engine-per-tenant
-    # baseline over the identical ensemble.
-    from repro.bench.experiments import run_service_experiment
-
-    print("[bench] perf multi-tenant service throughput ...", flush=True)
-    svc = run_service_experiment()
-    payload["perf"]["service"] = svc
-    print(f"[bench]   {svc['num_tenants']} tenants x {svc['num_chunks_per_tenant']} "
-          f"chunks: batching {svc['batching_factor']:.2f}x, "
-          f"simulated speedup {svc['simulated_speedup_vs_serial']:.2f}x, "
-          f"wall speedup {svc['wall_speedup_vs_serial']:.2f}x vs serial, "
-          f"labels_match={svc['labels_match']}", flush=True)
-
-    # Durability cost curve: checkpoint write / restore latency vs window
-    # size, with the restore-parity bit that keeps the numbers honest.
-    from repro.bench.experiments import run_recovery_experiment
-
-    print("[bench] perf checkpoint write/restore latency ...", flush=True)
-    rec = run_recovery_experiment()
-    payload["perf"]["service_recovery"] = rec
-    for row in rec["rows"]:
-        print(f"[bench]   window={row['window']:<5} "
-              f"bytes={row['checkpoint_bytes']:<7} "
-              f"write={row['write_seconds'] * 1e3:.2f}ms "
-              f"restore={row['restore_seconds'] * 1e3:.2f}ms "
-              f"labels_match={row['labels_match']}", flush=True)
-
-    if args.baseline:
-        base = json.loads(Path(args.baseline).read_text())
-        base_records = base.get("perf", {}).get("records", [])
-        payload["perf"]["baseline"] = {
-            "path": str(args.baseline),
-            "records": base_records,
-        }
-        comparisons = []
-        for rec in records:
-            # Older snapshots predate the kernel-tier column; their records
-            # are pure numpy, so only same-tier cells compare.
-            match = next(
-                (b for b in base_records
-                 if b["backend"] == rec["backend"] and b["n"] == rec["n"]
-                 and b.get("kernel_tier", "numpy") == rec.get("kernel_tier", "numpy")),
-                None,
-            )
-            if match is None:
-                continue
-            comparisons.append({
-                "backend": rec["backend"],
-                "n": rec["n"],
-                "kernel_tier": rec.get("kernel_tier", "numpy"),
-                "wall_speedup": match["wall_seconds"] / max(rec["wall_seconds"], 1e-9),
-                "rss_ratio": match["ru_maxrss_bytes"] / max(rec["ru_maxrss_bytes"], 1),
-                "traced_peak_ratio": (
-                    match["tracemalloc_peak_bytes"]
-                    / max(rec["tracemalloc_peak_bytes"], 1)
-                ),
-                "labels_identical": match["labels_sha256"] == rec["labels_sha256"],
-                "simulated_seconds_identical": (
-                    match["simulated_seconds"] == rec["simulated_seconds"]
-                ),
-                "counts_identical": match["counts"] == rec["counts"],
-            })
-        payload["perf"]["vs_baseline"] = comparisons
-        if comparisons:
-            compared = {
-                (c["backend"], c["n"], c["kernel_tier"]) for c in comparisons
-            }
-            total_base = sum(
-                b["wall_seconds"] for b in base_records
-                if (b["backend"], b["n"], b.get("kernel_tier", "numpy")) in compared
-            )
-            total_now = sum(
-                r["wall_seconds"] for r in records
-                if (r["backend"], r["n"], r.get("kernel_tier", "numpy")) in compared
-            )
-            payload["perf"]["overall_wall_speedup"] = total_base / max(total_now, 1e-9)
-            print(f"[bench] overall wall speedup vs baseline: "
-                  f"{payload['perf']['overall_wall_speedup']:.2f}x", flush=True)
-
-
-def check_native_budget(args: argparse.Namespace, payload: dict) -> int:
-    """Gate the perf profile's paired native cells against the budget file.
-
-    Parity (identical labels, counts and simulated seconds) is a hard
-    requirement on *every* paired cell regardless of size, and on every
-    thread-scaling cell regardless of thread count.  The speedup floor
-    (``native_min_speedup``, per backend) only applies to cells with at least
-    ``native_gate_min_n`` points, so a scaled-down CI run is not falsely
-    gated on warm-up-dominated small cells.  The multi-thread floor
-    (``native_thread_scaling_min``, per backend) additionally requires the
-    host to have at least ``threads_gate_min_cores`` cores.  Exit code 3
-    mirrors the smoke budget check.
-    """
-    comparisons = payload.get("perf", {}).get("native_vs_numpy", [])
-    scaling = payload.get("perf", {}).get("thread_scaling", {})
-    scaling_records = scaling.get("records", [])
-    failures = []
-    if args.require_native and not comparisons:
-        failures.append("--require-native set but no paired native cells ran "
-                        "(tier unavailable or fell back to numpy)")
-    for c in comparisons:
-        if not (c["labels_identical"] and c["counts_identical"]
-                and c["simulated_seconds_identical"]):
-            failures.append(
-                f"{c['backend']}@{c['n']}: native tier broke parity "
-                f"(labels={c['labels_identical']}, counts={c['counts_identical']}, "
-                f"simulated={c['simulated_seconds_identical']})"
-            )
-    confirm = payload.get("perf", {}).get("confirm_kernel")
-    if confirm and not confirm["identical"]:
-        failures.append(
-            "confirm kernel: native output differs from the numpy confirm"
-        )
-    # Thread-count parity is unconditional: a multi-thread cell that differs
-    # from the 1-thread bytes is a determinism bug, never a tuning matter.
-    for r in scaling_records:
-        if not (r["labels_identical"] and r["counts_identical"]
-                and r["simulated_seconds_identical"]):
-            failures.append(
-                f"{r['backend']}@{r['n']} x{r['threads']}t: thread count broke "
-                f"parity (labels={r['labels_identical']}, "
-                f"counts={r['counts_identical']}, "
-                f"simulated={r['simulated_seconds_identical']})"
-            )
-    if args.budget_file:
-        budget = json.loads(Path(args.budget_file).read_text())
-        floors = budget.get("native_min_speedup", {})
-        gate_min_n = int(budget.get("native_gate_min_n", 50_000))
-        for c in comparisons:
-            floor = floors.get(c["backend"])
-            if floor is None or c["n"] < gate_min_n:
-                continue
-            if c["wall_speedup"] < float(floor):
-                failures.append(
-                    f"{c['backend']}@{c['n']}: native speedup "
-                    f"{c['wall_speedup']:.2f}x below the {float(floor):g}x floor"
-                )
-        confirm_floor = floors.get("confirm_pairs")
-        if confirm and confirm_floor is not None:
-            if confirm["wall_speedup"] < float(confirm_floor):
-                failures.append(
-                    f"confirm kernel: {confirm['wall_speedup']:.2f}x below "
-                    f"the {float(confirm_floor):g}x floor"
-                )
-        # The multi-thread floor only binds on hosts with enough cores to
-        # make it attainable (threads_gate_min_cores); a 1-core container
-        # records an honest 1.0x curve without failing the gate.
-        thread_floors = budget.get("native_thread_scaling_min", {})
-        gate_min_cores = int(budget.get("threads_gate_min_cores", 4))
-        cpu_count = int(scaling.get("cpu_count", 1))
-        if cpu_count >= gate_min_cores:
-            best = {}
-            for r in scaling_records:
-                if r["threads"] >= 2 and r["n"] >= gate_min_n:
-                    key = (r["backend"], r["n"])
-                    best[key] = max(best.get(key, 0.0), r["speedup_vs_1_thread"])
-            for backend, floor in thread_floors.items():
-                cells = {k: v for k, v in best.items() if k[0] == backend}
-                if not cells and scaling_records:
-                    failures.append(
-                        f"{backend}: no multi-thread scaling cell at "
-                        f">={gate_min_n} points despite {cpu_count} cores"
-                    )
-                for (b, n), speedup in cells.items():
-                    if speedup < float(floor):
-                        failures.append(
-                            f"{b}@{n}: thread scaling {speedup:.2f}x below "
-                            f"the {float(floor):g}x multi-thread floor"
-                        )
-    if failures:
-        for line in failures:
-            print(f"[bench] NATIVE BUDGET FAILED: {line}", file=sys.stderr)
-        return 3
-    if comparisons:
-        print(f"[bench] native tier: {len(comparisons)} paired cells, "
-              "parity held on all of them")
-    if scaling_records:
-        print(f"[bench] thread scaling: {len(scaling_records)} cells, "
-              "thread-count parity held on all of them")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.perf_child is not None:
-        return perf_child(args.perf_child)
-
     started = time.time()
-    scale = args.scale
+    profile = SMOKE if args.profile == "smoke" else FULL
+    experiments = args.experiments if args.experiments is not None else profile["experiments"]
+    streaming = args.streaming if args.streaming is not None else profile["streaming"]
+    scale = args.scale if args.scale is not None else profile["scale"]
+    out = Path(args.out) if args.out else Path(f"BENCH_{args.profile}.json")
     payload: dict = {
         "meta": {
             "profile": args.profile,
@@ -652,21 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiments": {},
         "streaming": {},
     }
-
-    if args.profile == "perf":
-        out = Path(args.out) if args.out else Path("BENCH_perf.json")
-        run_perf(args, payload)
-        payload["meta"]["total_wall_seconds"] = time.time() - started
-        out.write_text(json.dumps(payload, indent=2, default=float))
-        print(f"[bench] wrote {out} ({payload['meta']['total_wall_seconds']:.1f}s total)")
-        return check_native_budget(args, payload)
-
-    profile = SMOKE if args.profile == "smoke" else FULL
-    experiments = args.experiments if args.experiments is not None else profile["experiments"]
-    streaming = args.streaming if args.streaming is not None else profile["streaming"]
-    scale = args.scale if args.scale is not None else profile["scale"]
-    payload["meta"]["scale"] = scale
-    out = Path(args.out) if args.out else Path(f"BENCH_{args.profile}.json")
 
     for exp_id in experiments:
         t0 = time.perf_counter()

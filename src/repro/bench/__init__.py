@@ -1,8 +1,8 @@
 """Benchmark harness: experiment registry, sweep runner and report formatting.
 
 One registered experiment per table/figure of the paper's evaluation section;
-see DESIGN.md for the experiment index and EXPERIMENTS.md for paper-vs-
-measured results.
+see ``docs/paper_mapping.md`` for the figure-by-figure index, and run
+``rt-dbscan experiment <id>`` for one experiment's paper-style tables.
 """
 
 from .experiments import (

@@ -7,8 +7,8 @@ runs.  Scaling is necessary because the substrate here is an instrumented
 Python simulator rather than an RTX 2060: dataset sizes are reduced by a
 documented factor and ε values are re-derived from the synthetic datasets'
 density (using the k-distance heuristic) so that the neighbourhood-size
-regimes match the paper's.  EXPERIMENTS.md records the mapping and the
-paper-vs-measured comparison for every entry.
+regimes match the paper's.  ``docs/paper_mapping.md`` maps every entry to
+its figure or table and to what its benchmark checks.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Turns lists of :class:`~repro.bench.runner.RunRecord` into the rows the paper
 prints: raw execution-time tables (Tables I–III), speedup series (Figs. 4–8)
 and phase breakdowns (Section V-D).  Output is plain text so the benchmark
-harness can simply ``print`` it and EXPERIMENTS.md can quote it verbatim.
+harness and ``rt-dbscan experiment`` can simply ``print`` it.
 """
 
 from __future__ import annotations

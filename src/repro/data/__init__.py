@@ -2,8 +2,8 @@
 
 The real 3DRoad / Porto / NGSIM / 3DIono datasets are not redistributable
 here, so each has a generator that reproduces its spatial character (density
-profile, dimensionality, extent) — see DESIGN.md for the substitution
-rationale.  Generic generators (blobs, rings, moons, trajectories) back the
+profile, dimensionality, extent) — see ``docs/paper_mapping.md`` for the
+substitution rationale.  Generic generators (blobs, rings, moons, trajectories) back the
 tests and examples.
 """
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import NOISE
+from .params import NOISE, canonicalize_labels
 
 __all__ = ["labels_from_roots", "classify_points", "PointClass"]
 
@@ -75,17 +75,5 @@ def labels_from_roots(
     is_cluster_root[core_roots] = True
 
     clustered = member & is_cluster_root[roots]
-    if not clustered.any():
-        return labels
-
-    # Number clusters by the smallest member index they contain.
-    cluster_roots = roots[clustered]
-    order = np.argsort(np.flatnonzero(clustered), kind="stable")  # already ascending
-    uniq_roots, first_pos = np.unique(cluster_roots, return_index=True)
-    first_member_idx = np.flatnonzero(clustered)[first_pos]
-    rank = np.argsort(np.argsort(first_member_idx))
-    root_to_label = dict(zip(uniq_roots.tolist(), rank.tolist()))
-    labels[clustered] = np.asarray(
-        [root_to_label[r] for r in cluster_roots.tolist()], dtype=np.int64
-    )
-    return labels
+    labels[clustered] = roots[clustered]
+    return canonicalize_labels(labels)

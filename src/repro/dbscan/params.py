@@ -180,14 +180,12 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     """
     labels = np.asarray(labels)
     out = np.full(labels.shape, NOISE, dtype=np.int64)
-    seen: dict[int, int] = {}
-    next_id = 0
-    clustered = np.flatnonzero(labels >= 0)
-    for idx in clustered:
-        lab = int(labels[idx])
-        if lab not in seen:
-            seen[lab] = next_id
-            next_id += 1
-    for old, new in seen.items():
-        out[labels == old] = new
+    clustered = labels >= 0
+    uniq, first, inverse = np.unique(
+        labels[clustered], return_index=True, return_inverse=True
+    )
+    # Rank each distinct label by the position of its first member.
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    out[clustered] = rank[inverse]
     return out

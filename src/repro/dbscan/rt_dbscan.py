@@ -31,7 +31,6 @@ pass — labels stay bit-identical to this class's.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,17 +145,7 @@ class RTDBSCAN(ClustererMixin):
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> DBSCANResult:
         """Cluster ``points`` and return the labelling with its timing report."""
-        ctx = (
-            native_dispatch.override(self.native)
-            if self.native is not None
-            else contextlib.nullcontext()
-        )
-        tctx = (
-            native_dispatch.thread_override(self.native_threads)
-            if self.native_threads is not None
-            else contextlib.nullcontext()
-        )
-        with ctx, tctx:
+        with native_dispatch.overrides(self.native, self.native_threads):
             return self._fit(points)
 
     def _fit(self, points: np.ndarray) -> DBSCANResult:

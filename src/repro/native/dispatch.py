@@ -6,7 +6,8 @@ pass, the RT sphere launch, the batched union-find) ask :func:`kernels` for a
 returns ``None``.  The answer is governed by, in priority order:
 
 1. the :func:`override` context manager (the ``native=`` field on
-   ``ClustererSpec`` / ``RTDBSCAN`` pushes one around a fit),
+   ``ClustererSpec`` / ``RTDBSCAN`` pushes one around a fit; overrides are
+   context-local, so concurrent fits in other threads never see them),
 2. the ``REPRO_NATIVE`` environment variable — ``0`` (off), ``1`` (on) or
    anything else / unset (``auto``), read at call time, and
 3. availability: the cffi extension is compiled lazily on the first request
@@ -30,10 +31,11 @@ the tier and thread count only change wall-clock time.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "mode",
     "override",
     "thread_override",
+    "overrides",
     "requested_threads",
     "resolve_threads",
     "status",
@@ -54,8 +57,15 @@ _log = logging.getLogger("repro.native")
 
 _lock = threading.Lock()
 _state: dict = {"attempted": False, "kernels": None, "reason": None}
-_override_stack: list[bool] = []
-_thread_stack: list[int | None] = []
+#: Pushed overrides, innermost last; an empty tuple means none is active.
+#: Context variables keep them local to the thread (or task) that pushed
+#: them; ``ParallelMap`` copies the caller's context into its workers.
+_tier_stack: contextvars.ContextVar[tuple[bool, ...]] = contextvars.ContextVar(
+    "repro_native_tier", default=()
+)
+_thread_stack: contextvars.ContextVar[tuple[int | None, ...]] = contextvars.ContextVar(
+    "repro_native_threads", default=()
+)
 
 _OFF_VALUES = frozenset(("0", "false", "off", "no"))
 _ON_VALUES = frozenset(("1", "true", "on", "yes"))
@@ -90,8 +100,9 @@ def mode() -> str:
     An active :func:`override` wins over the ``REPRO_NATIVE`` environment
     variable; both are consulted at call time, never cached.
     """
-    if _override_stack:
-        return "on" if _override_stack[-1] else "off"
+    pushed = _tier_stack.get()
+    if pushed:
+        return "on" if pushed[-1] else "off"
     return _env_mode()
 
 
@@ -118,8 +129,9 @@ def requested_threads() -> int | None:
     An active :func:`thread_override` wins over ``REPRO_NATIVE_THREADS``;
     both are consulted at call time, never cached.
     """
-    if _thread_stack:
-        return _thread_stack[-1]
+    pushed = _thread_stack.get()
+    if pushed:
+        return pushed[-1]
     return _env_threads()
 
 
@@ -178,20 +190,23 @@ def resolve_threads() -> int:
 
 
 @contextmanager
+def _push(stack: contextvars.ContextVar, value):
+    token = stack.set(stack.get() + (value,))
+    try:
+        yield
+    finally:
+        stack.reset(token)
+
+
 def override(enabled: bool):
     """Force the tier on/off for the dynamic extent of a ``with`` block.
 
     This is how the ``native=`` field of ``ClustererSpec`` / ``RTDBSCAN`` is
     applied around a single fit without touching process-wide environment.
     """
-    _override_stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        _override_stack.pop()
+    return _push(_tier_stack, bool(enabled))
 
 
-@contextmanager
 def thread_override(nthreads: int | None):
     """Pin the worker count (``None`` = auto) for a ``with`` block.
 
@@ -199,12 +214,23 @@ def thread_override(nthreads: int | None):
     ``RTDBSCAN`` is applied around a single fit without touching the
     process-wide ``REPRO_NATIVE_THREADS`` environment.
     """
-    value = None if nthreads is None else max(1, int(nthreads))
-    _thread_stack.append(value)
-    try:
+    return _push(_thread_stack, None if nthreads is None else max(1, int(nthreads)))
+
+
+@contextmanager
+def overrides(native: bool | None = None, native_threads: int | None = None):
+    """Apply a clusterer's ``native=`` / ``native_threads=`` fields.
+
+    Each field that is not ``None`` is pushed as :func:`override` /
+    :func:`thread_override`; a ``None`` field leaves the environment's
+    setting in force.
+    """
+    with ExitStack() as stack:
+        if native is not None:
+            stack.enter_context(override(native))
+        if native_threads is not None:
+            stack.enter_context(thread_override(native_threads))
         yield
-    finally:
-        _thread_stack.pop()
 
 
 def status() -> dict:
@@ -258,8 +284,8 @@ def _reset_for_testing() -> None:
     """Forget any build attempt and overrides (test hook)."""
     with _lock:
         _state.update({"attempted": False, "kernels": None, "reason": None})
-    _override_stack.clear()
-    _thread_stack.clear()
+    _tier_stack.set(())
+    _thread_stack.set(())
 
 
 # ------------------------------------------------------------------------- #

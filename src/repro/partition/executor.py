@@ -15,12 +15,15 @@ is that one abstraction, and the worker count alone picks its strategy:
 
 Results are always returned as a list in the order of the input items,
 regardless of completion order, so callers' outputs are independent of the
-execution strategy.  Exceptions raised by the mapped function propagate to
-the caller in both modes.
+execution strategy.  Each item runs in a copy of the caller's
+:mod:`contextvars` context, so context-local settings such as the native
+dispatcher's overrides reach the worker threads.  Exceptions raised by the
+mapped function propagate to the caller in both modes.
 """
 
 from __future__ import annotations
 
+import contextvars
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
@@ -65,7 +68,8 @@ class ParallelMap:
         if self.is_serial or len(items) <= 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
+            futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+            return [future.result() for future in futures]
 
     def __repr__(self) -> str:
         return f"ParallelMap(workers={self.workers})"

@@ -20,10 +20,10 @@ indexing of halo points, both visible in the aggregated report.
 
 Tile fits run through the shared :class:`~repro.partition.executor.ParallelMap`
 executor — serial by default (deterministic wall-clock), on worker threads
-when ``workers > 1``.  The kernel-tier overrides the parent pushes around
-:meth:`TiledRTDBSCAN.fit` live in the dispatcher's process-wide stacks, so
-the worker threads honour them too.  Simulated-time aggregation is
-strategy-independent: per-phase simulated seconds are the *sum* of the
+when ``workers > 1``.  Each worker thread runs in a copy of the caller's
+context, so the kernel-tier overrides the parent pushes around
+:meth:`TiledRTDBSCAN.fit` apply to the tile fits too.  Simulated-time
+aggregation is strategy-independent: per-phase simulated seconds are the *sum* of the
 per-tile device times (total device work), while the report metadata
 records the critical path (the slowest tile chain) — the wall-clock bound an
 actual multi-GPU deployment would see.
@@ -31,7 +31,6 @@ actual multi-GPU deployment would see.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,20 +304,10 @@ class TiledRTDBSCAN(ClustererMixin):
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> DBSCANResult:
         """Cluster ``points``; labels are bit-identical to an untiled run."""
-        # The dispatcher's override stacks are process-wide, so these pushes
-        # cover the tile worker threads as well as the parent-side merge
-        # (whose union-find consults the dispatcher).
-        ctx = (
-            native_dispatch.override(self.native)
-            if self.native is not None
-            else contextlib.nullcontext()
-        )
-        tctx = (
-            native_dispatch.thread_override(self.native_threads)
-            if self.native_threads is not None
-            else contextlib.nullcontext()
-        )
-        with ctx, tctx:
+        # Tile worker threads run in a copy of this context (ParallelMap), so
+        # these overrides cover them as well as the parent-side merge (whose
+        # union-find consults the dispatcher).
+        with native_dispatch.overrides(self.native, self.native_threads):
             return self._fit(points)
 
     def _fit(self, points: np.ndarray) -> DBSCANResult:

@@ -26,7 +26,7 @@ Section V-D for 1 M 3DIono points (ε = 0.25, minPts = 100):
 
 Absolute numbers are therefore in "simulated milliseconds" that should not be
 compared to the paper's wall-clock seconds; only ratios and trends are
-meaningful, as recorded in EXPERIMENTS.md.
+meaningful, and ``docs/paper_mapping.md`` lists the ones each benchmark checks.
 """
 
 from __future__ import annotations

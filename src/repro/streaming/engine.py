@@ -41,7 +41,6 @@ consume — is ever materialised.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,20 +336,9 @@ class StreamingRTDBSCAN(ClustererMixin):
         return ensure_points3d(pts, name="chunk")
 
     # ------------------------------------------------------------------ #
-    def _native_ctx(self) -> contextlib.ExitStack:
-        """Tier + thread overrides for one update (no-op when both unset)."""
-        stack = contextlib.ExitStack()
-        if self.native is not None:
-            stack.enter_context(native_dispatch.override(self.native))
-        if self.native_threads is not None:
-            stack.enter_context(
-                native_dispatch.thread_override(self.native_threads)
-            )
-        return stack
-
     def update(self, points: np.ndarray) -> StreamUpdate:
         """Ingest one chunk, slide the window, and re-cluster incrementally."""
-        with self._native_ctx():
+        with native_dispatch.overrides(self.native, self.native_threads):
             return self._update(points)
 
     def _update(self, points: np.ndarray) -> StreamUpdate:
@@ -621,7 +609,7 @@ class StreamingRTDBSCAN(ClustererMixin):
         """
         win = self._window_slots()
         labels, core_mask = self._window_labels(win)
-        with self._native_ctx():
+        with native_dispatch.overrides(self.native, self.native_threads):
             kernel_tier = native_dispatch.active_tier()
         return DBSCANResult(
             labels=labels,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dbscan.disjoint_set import ParallelDisjointSet
 from repro.dbscan.labels import PointClass, classify_points, labels_from_roots
@@ -33,6 +34,23 @@ class TestDBSCANParams:
             DBSCANParams(eps=0.5, min_pts=min_pts)
 
 
+def reference_canonicalize(labels: np.ndarray) -> np.ndarray:
+    """The per-cluster loop ``canonicalize_labels`` replaced: the test oracle."""
+    labels = np.asarray(labels)
+    out = np.full(labels.shape, NOISE, dtype=np.int64)
+    seen: dict[int, int] = {}
+    next_id = 0
+    clustered = np.flatnonzero(labels >= 0)
+    for idx in clustered:
+        lab = int(labels[idx])
+        if lab not in seen:
+            seen[lab] = next_id
+            next_id += 1
+    for old, new in seen.items():
+        out[labels == old] = new
+    return out
+
+
 class TestCanonicalizeLabels:
     def test_renumbers_by_first_occurrence(self):
         labels = np.array([5, 5, -1, 2, 2, 5])
@@ -47,6 +65,32 @@ class TestCanonicalizeLabels:
         labels = np.array([0, 1, -1, 1, 2])
         once = canonicalize_labels(labels)
         np.testing.assert_array_equal(once, canonicalize_labels(once))
+
+    @given(
+        labels=arrays(
+            np.int64,
+            st.integers(min_value=0, max_value=200),
+            elements=st.integers(min_value=-3, max_value=40)
+            | st.integers(min_value=0, max_value=2**62),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_reference_loop(self, labels):
+        out = canonicalize_labels(labels)
+        expected = reference_canonicalize(labels)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == expected.dtype
+
+
+def reference_labels_from_roots(roots, core_mask, member) -> np.ndarray:
+    """The per-point dict numbering ``labels_from_roots`` replaced: the test oracle."""
+    clustered = np.flatnonzero(member & np.isin(roots, roots[core_mask]))
+    root_to_label: dict[int, int] = {}
+    for i in clustered:
+        root_to_label.setdefault(int(roots[i]), len(root_to_label))
+    labels = np.full(roots.shape[0], NOISE, dtype=np.int64)
+    labels[clustered] = [root_to_label[int(roots[i])] for i in clustered]
+    return labels
 
 
 class TestLabelsFromRoots:
@@ -102,6 +146,25 @@ class TestLabelsFromRoots:
         canonical = canonicalize_labels(labels)
         np.testing.assert_array_equal(canonical, labels)
         assert canonical.dtype == labels.dtype
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=120),
+        m=st.integers(min_value=0, max_value=240),
+        core_frac=st.floats(min_value=0.0, max_value=1.0),
+        assigned_frac=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_reference_numbering(self, seed, n, m, core_frac, assigned_frac):
+        rng = np.random.default_rng(seed)
+        forest = ParallelDisjointSet(n)
+        forest.union_edges(rng.integers(0, n, m), rng.integers(0, n, m))
+        roots, core = forest.roots(), rng.random(n) < core_frac
+        assigned = rng.random(n) < assigned_frac
+        out = labels_from_roots(roots, core, assigned_mask=assigned)
+        expected = reference_labels_from_roots(roots, core, core | assigned)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == expected.dtype
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ build, and the log-once / never-raise behaviour of a failed build.
 from __future__ import annotations
 
 import logging
+import threading
 
 import pytest
 
@@ -50,6 +51,44 @@ class TestModeResolution:
                 assert dispatch.mode() == "off"
             assert dispatch.mode() == "on"
         assert dispatch.mode() == "off"
+
+
+class TestContextLocalOverrides:
+    def test_overrides_push_only_given_fields(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "8")
+        with dispatch.overrides():
+            assert (dispatch.mode(), dispatch.requested_threads()) == ("off", 8)
+        with dispatch.overrides(native=True):
+            assert (dispatch.mode(), dispatch.requested_threads()) == ("on", 8)
+            with dispatch.overrides(native_threads=2):
+                assert (dispatch.mode(), dispatch.requested_threads()) == ("on", 2)
+            assert (dispatch.mode(), dispatch.requested_threads()) == ("on", 8)
+        assert (dispatch.mode(), dispatch.requested_threads()) == ("off", 8)
+
+    def test_another_threads_override_is_invisible(self, monkeypatch):
+        """An override pushed in one thread never steers another's kernels."""
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "8")
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def read(name):
+            seen[name] = (dispatch.mode(), dispatch.requested_threads())
+
+        def hold_overrides():
+            with dispatch.override(True), dispatch.thread_override(2):
+                read("holder")
+                barrier.wait()  # the overrides are live ...
+                barrier.wait()  # ... until the main thread has read its own
+
+        holder = threading.Thread(target=hold_overrides)
+        holder.start()
+        barrier.wait()
+        read("main")
+        barrier.wait()
+        holder.join(timeout=10)
+        assert seen == {"holder": ("on", 2), "main": ("off", 8)}
 
 
 class TestOffNeverBuilds:

@@ -87,6 +87,26 @@ print("OK")
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout
 
+    def test_opted_in_native_gates_fail_without_the_tier(self):
+        """``REPRO_NATIVE_BENCH=1`` with no native tier fails the gate file.
+
+        Skipping would let a run whose tier fell back to numpy pass without
+        checking a single native cell.
+        """
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ, REPRO_NATIVE="0", REPRO_NATIVE_BENCH="1", PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "benchmarks/test_native_kernels.py"],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0, proc.stdout
+        assert "native kernel tier is unavailable" in proc.stdout, proc.stdout
+
 
 class TestNoOpenMPFallback:
     def test_serial_variant_builds_and_matches(self):

@@ -14,6 +14,7 @@ pure-numpy suite already covers the fallback behaviour.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -64,6 +65,18 @@ def assert_results_identical(a, b):
     assert a.report.total_simulated_seconds == b.report.total_simulated_seconds
 
 
+def record_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap every compiled kernel to log ``(thread id, resolved threads)``."""
+    calls = []
+    for name in dispatch.KERNEL_SLOTS:
+        def counting(self, *args, _fn=getattr(dispatch.NativeKernels, name), **kwargs):
+            calls.append((threading.get_ident(), self.resolve_threads()))
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch.NativeKernels, name, counting)
+    return calls
+
+
 class TestMonolithicParity:
     @pytest.mark.parametrize("backend", ALL_NATIVE_BACKENDS)
     def test_labels_and_counts_identical(self, dataset, backend):
@@ -91,18 +104,13 @@ class TestTiledParity:
         """Tile worker threads honour the parent's native= and native_threads=.
 
         Tile jobs carry no tier flags: the overrides pushed around ``fit``
-        live in the dispatcher's process-wide stacks.  Every compiled-kernel
-        call is recorded with its thread and resolved worker count; 3 OpenMP
-        threads differs from the auto default on any core count but 3.
+        reach the pool threads through the context ``ParallelMap`` copies
+        into them.  Every compiled-kernel call is recorded with its thread
+        and resolved worker count; 3 OpenMP threads differs from the auto
+        default on any core count but 3.
         """
         _, pts, eps = dataset
-        calls = []
-        for name in dispatch.KERNEL_SLOTS:
-            def counting(self, *args, _fn=getattr(dispatch.NativeKernels, name), **kwargs):
-                calls.append((threading.get_ident(), self.resolve_threads()))
-                return _fn(self, *args, **kwargs)
-
-            monkeypatch.setattr(dispatch.NativeKernels, name, counting)
+        calls = record_kernel_calls(monkeypatch)
         expected_threads = 3 if dispatch.kernels().has_openmp else 1
         fits = {}
         for native in (False, True):
@@ -116,6 +124,51 @@ class TestTiledParity:
         # The tile kernels ran on pool threads, not only in the calling thread.
         assert {ident for ident, _ in calls} - {threading.get_ident()}
         assert_results_identical(fits[False], fits[True])
+
+
+class TestConcurrentFits:
+    def test_threads_keep_their_own_tier(self, dataset, monkeypatch):
+        """Concurrent fits asking for different tiers each get their own.
+
+        Both fits wait for each other at the backend build, inside their
+        ``native=`` scope and before any kernel runs, so each override is
+        live while the other fit dispatches its kernels.
+        """
+        # The package re-exports the ``rt_dbscan`` function under its
+        # module's name, so the module is reached through ``sys.modules``.
+        rt_module = sys.modules[RTDBSCAN.__module__]
+        _, pts, eps = dataset
+        calls = record_kernel_calls(monkeypatch)
+        solo = RTDBSCAN(eps=eps, min_pts=MIN_PTS, backend="rt", native=True).fit(pts)
+        calls_per_fit = len(calls)
+        assert calls_per_fit > 0
+        calls.clear()
+
+        barrier = threading.Barrier(2, timeout=60)
+
+        def make_backend_in_step(*args, _fn=rt_module.make_backend, **kwargs):
+            barrier.wait()
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(rt_module, "make_backend", make_backend_in_step)
+        fits = {}
+
+        def fit(native):
+            clusterer = RTDBSCAN(eps=eps, min_pts=MIN_PTS, backend="rt", native=native)
+            fits[native] = (threading.get_ident(), clusterer.fit(pts))
+
+        threads = [threading.Thread(target=fit, args=(native,)) for native in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert set(fits) == {True, False}
+        for native, (ident, result) in fits.items():
+            assert result.extra["kernel_tier"] == ("native" if native else "numpy")
+            made = sum(1 for caller, _ in calls if caller == ident)
+            assert made == (calls_per_fit if native else 0)
+            assert_results_identical(solo, result)
 
 
 class TestStreamingParity:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -72,6 +73,19 @@ class TestParallelMap:
         start = time.perf_counter()
         pm.map(lambda _: time.sleep(0.05), [0, 1])
         assert time.perf_counter() - start < 0.095
+
+    def test_each_item_runs_in_a_copy_of_the_callers_context(self):
+        """Workers see the caller's settings; an item's own reach no one else."""
+        var = contextvars.ContextVar("item_setting", default="unset")
+
+        def read_then_set(item):
+            seen = var.get()
+            var.set(f"item {item}")
+            return seen
+
+        var.set("caller")  # the variable is local to this test: nothing else reads it
+        assert ParallelMap(workers=2).map(read_then_set, list(range(8))) == ["caller"] * 8
+        assert var.get() == "caller"
 
 
 class TestAsParallelMap:
