@@ -8,8 +8,8 @@ the complete system in Python on top of a *simulated* RT device:
   algorithm/backend registries and the one-call ``repro.cluster`` facade;
 * :mod:`repro.geometry` / :mod:`repro.bvh` — the spatial substrate (AABBs,
   spheres, Morton codes, LBVH/SAH builders, batched traversal);
-* :mod:`repro.rtcore`  — the simulated RT-capable GPU and its OptiX/OWL-style
-  programming model;
+* :mod:`repro.rtcore`  — the simulated RT-capable GPU, its OptiX-style scene
+  pipeline and the sphere Intersection program;
 * :mod:`repro.neighbors` — RT-FindNeighborhood (the paper's Algorithm 2) plus
   grid/KD-tree/brute searches behind the pluggable ``NeighborBackend``
   protocol;
@@ -64,7 +64,7 @@ from .dbscan import (
 from .neighbors import NeighborBackend, RTNeighborFinder, rt_find_neighbors
 from .partition import ParallelMap, Tiler, TiledRTDBSCAN, tiled_rt_dbscan
 from .perf import DEFAULT_COST_MODEL, DeviceCostModel
-from .rtcore import RTDevice, owl_context_create
+from .rtcore import RTDevice
 from .streaming import RefitPolicy, StreamingRTDBSCAN, StreamUpdate
 
 __version__ = "1.8.0"
@@ -102,7 +102,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "DeviceCostModel",
     "RTDevice",
-    "owl_context_create",
     "RefitPolicy",
     "StreamingRTDBSCAN",
     "StreamUpdate",

@@ -32,6 +32,7 @@ from ..geometry.transforms import ensure_points3d
 from ..perf.cost_model import OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
+from ..rtcore.programs import SphereProgram
 
 __all__ = ["FDBSCAN", "fdbscan"]
 
@@ -81,11 +82,7 @@ class FDBSCAN(ClustererMixin):
             {"eps": eps, "min_pts": self.params.min_pts, "num_points": n, "device": self.device.name}
         )
 
-        def confirm(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            d = pts[q] - pts[p]
-            hit = np.einsum("ij,ij->i", d, d) <= eps * eps
-            hit &= q != p
-            return hit
+        confirm = SphereProgram(pts, eps, exclude_self=True).confirm(pts)
 
         # -------------------------------------------------------------- #
         # Index construction: a plain spatial BVH over the points (each

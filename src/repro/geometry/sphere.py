@@ -2,8 +2,9 @@
 
 The input transformation of RT-DBSCAN (Section III-B) turns every data point
 into a solid sphere of radius ε.  ``SphereGeometry`` is the batch primitive
-the simulated RT device builds its BVH over; it also carries the custom
-bounding-box and intersection programs the OWL pipeline would register.
+the simulated RT device builds its BVH over, with the custom bounding-box
+program an OptiX pipeline would register; the sphere Intersection program is
+:class:`repro.rtcore.programs.SphereProgram`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class SphereGeometry:
     def __len__(self) -> int:
         return self.centers.shape[0]
 
-    # -- OWL-style bounds program ------------------------------------- #
     def bounds(self) -> AABB:
         """Axis-aligned bounding boxes, one per sphere (the bounds program).
 
@@ -61,24 +61,3 @@ class SphereGeometry:
         r = self.radii[:, None]
         pad = 4.0 * np.finfo(np.float64).eps * (np.abs(self.centers) + r)
         return AABB(self.centers - r - pad, self.centers + r + pad)
-
-    # -- OWL-style intersection program -------------------------------- #
-    def contains(self, points: np.ndarray, prim_ids: np.ndarray) -> np.ndarray:
-        """Exact solid-sphere containment for candidate (point, primitive) pairs.
-
-        ``points`` is ``(m, 3)`` and ``prim_ids`` is ``(m,)``; element ``k``
-        reports whether ``points[k]`` lies inside sphere ``prim_ids[k]``.
-        This is the distance check of Algorithm 2 line 6 that filters
-        bounding-box false positives.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        prim_ids = np.asarray(prim_ids, dtype=np.intp)
-        d = points - self.centers[prim_ids]
-        return np.einsum("ij,ij->i", d, d) <= self.radii[prim_ids] ** 2
-
-    def squared_distance(self, points: np.ndarray, prim_ids: np.ndarray) -> np.ndarray:
-        """Squared distance from each point to the centre of its paired sphere."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        prim_ids = np.asarray(prim_ids, dtype=np.intp)
-        d = points - self.centers[prim_ids]
-        return np.einsum("ij,ij->i", d, d)

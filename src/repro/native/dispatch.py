@@ -1,9 +1,9 @@
 """Native-tier dispatch: the single decision point for numpy vs C kernels.
 
-Call sites (the grid/brute/kdtree neighbour backends, the approx confirm
-pass, the RT sphere launch, the batched union-find) ask :func:`kernels` for a
-:class:`NativeKernels` handle and fall back to their numpy path when it
-returns ``None``.  The answer is governed by, in priority order:
+Call sites (the grid/brute neighbour backends, the approx confirm pass, the
+sphere launch shared by rt/kdtree/streaming, the batched union-find) ask
+:func:`kernels` for a :class:`NativeKernels` handle and fall back to their
+numpy path when it returns ``None``.  The answer is governed by, in priority order:
 
 1. the :func:`override` context manager (the ``native=`` field on
    ``ClustererSpec`` / ``RTDBSCAN`` pushes one around a fit; overrides are
@@ -74,7 +74,7 @@ _ON_VALUES = frozenset(("1", "true", "on", "yes"))
 KERNEL_SLOTS = {
     "grid_scan": "neighbors/backend.py (grid stencil gather)",
     "brute_block": "neighbors/brute.py (blocked confirm sweep)",
-    "bvh_sphere": "rtcore/pipeline.py + neighbors/backend.py (rt + kdtree)",
+    "bvh_sphere": "rtcore/programs.py (rt, kdtree and streaming sphere launches)",
     "confirm_pairs": "neighbors/approx.py (lsh exact-distance confirm)",
     "uf_union_edges": "dbscan/disjoint_set.py (batched union-find, serial)",
 }

@@ -33,12 +33,12 @@ import numpy as np
 
 from ..adjacency import expand_ranges
 from ..api.registry import register_backend
-from ..bvh.traversal import point_query_counts_early_exit, point_query_csr
 from ..geometry.transforms import ensure_points3d
 from ..native import dispatch as native_dispatch
 from ..perf.cost_model import OpCounts
 from ..rtcore.counters import LaunchStats
 from ..rtcore.device import RTDevice
+from ..rtcore.programs import SphereProgram, launch_sphere
 from .brute import pairwise_within_blocks
 from .grid import UniformGrid
 
@@ -345,10 +345,10 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
     """KD-tree search — the CPU fast path for interactive use and refits.
 
     The tree is a median-split KD-tree materialised in BVH array form
-    (:func:`~repro.bvh.kdtree.build_kdtree` over eps-sphere boxes), so both
-    query tiers reuse the parity-proven sphere traversal kernels: the numpy
-    level-synchronous wavefront (:func:`~repro.bvh.traversal.point_query_csr`
-    / counts) and the native DFS (``bvh_sphere``).  Charged node-visit and
+    (:func:`~repro.bvh.kdtree.build_kdtree` over eps-sphere boxes), so its
+    queries are sphere launches (:func:`~repro.rtcore.programs.launch_sphere`)
+    on either tier: the numpy level-synchronous wavefront or the native DFS
+    (``bvh_sphere``).  Charged node-visit and
     candidate counts are the real traversal counters — previously this
     backend wrapped scipy's cKDTree and charged a synthetic depth estimate.
     """
@@ -372,57 +372,10 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
         self._mem_label = f"kdtree_backend_{id(self)}"
         self.device.memory.allocate(self._mem_label, self.bvh.memory_bytes())
 
-    def _confirm(self, qpts, self_query):
-        """Exact-sphere Intersection program for the numpy traversal tier."""
-        pts = self.points
-        r2 = self.radius * self.radius
-
-        def confirm(rep_q: np.ndarray, rep_p: np.ndarray) -> np.ndarray:
-            d = qpts[rep_q] - pts[rep_p]
-            hit = np.einsum("ij,ij->i", d, d) <= r2
-            if self_query:
-                hit &= rep_q != rep_p
-            return hit
-
-        return confirm
-
-    def _scan_native(self, qpts, self_query, collect):
-        """The KD sweep on the native DFS kernel (or ``None`` to use numpy)."""
-        nk = native_dispatch.kernels()
-        if nk is None:
-            return None
-        qpts = np.ascontiguousarray(qpts)
-        nq = qpts.shape[0]
-        row_counts = np.zeros(nq, dtype=np.int64)
-        stats_buf = np.zeros(5, dtype=np.int64)
-        kwargs = dict(exclude_self=self_query)
-        ok = nk.bvh_sphere(
-            qpts, qpts, self.bvh, self.points, self.radius * self.radius,
-            row_counts=row_counts, stats=stats_buf, **kwargs,
-        )
-        if not ok:
-            return None
-        candidates = int(stats_buf[2])
-        node_visits = int(stats_buf[0])
-        if not collect:
-            return row_counts, None, candidates, node_visits
-        indptr = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.intp)
-        nk.bvh_sphere(
-            qpts, qpts, self.bvh, self.points, self.radius * self.radius,
-            indptr=indptr, indices=indices, **kwargs,
-        )
-        return row_counts, [indices], candidates, node_visits
-
     def _scan(self, qpts, self_query, collect):
-        native = self._scan_native(qpts, self_query, collect)
-        if native is not None:
-            return native
-        confirm = self._confirm(qpts, self_query)
+        program = SphereProgram(self.points, self.radius, exclude_self=self_query)
         if not collect:
-            counts, stats = point_query_counts_early_exit(self.bvh, qpts, confirm)
+            counts, stats = launch_sphere(self.bvh, qpts, program, collect=False)
             return counts, None, stats.candidates, stats.node_visits
-        indptr, indices, stats = point_query_csr(self.bvh, qpts, confirm)
-        row_counts = np.diff(indptr).astype(np.int64)
-        return row_counts, [indices], stats.candidates, stats.node_visits
+        indptr, indices, stats = launch_sphere(self.bvh, qpts, program, collect=True)
+        return np.diff(indptr), [indices], stats.candidates, stats.node_visits

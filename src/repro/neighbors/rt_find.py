@@ -4,8 +4,11 @@
 of the dataset becomes a solid sphere of radius ε, and an infinitesimally
 short ray launched from the query point intersects exactly the spheres whose
 centres lie within ε (Section III-B/III-C).  ``RTNeighborFinder`` wraps the
-scene setup (OWL context, geometry, acceleration-structure build) and exposes
-the two query flavours DBSCAN needs:
+scene setup (sphere geometry, or its triangle tessellation, and the
+acceleration-structure build of a :class:`~repro.rtcore.pipeline.ScenePipeline`)
+and launches the sphere Intersection program
+(:class:`~repro.rtcore.programs.SphereProgram`) for the two query flavours
+DBSCAN needs:
 
 * ``neighbor_counts``  — count ε-neighbours per point (stage 1 of Algorithm 3);
 * ``neighbor_csr``     — the confirmed ε-adjacency in canonical CSR form
@@ -19,10 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api.registry import register_backend
+from ..geometry.sphere import SphereGeometry
 from ..geometry.transforms import ensure_points3d
+from ..geometry.triangle import tessellate_spheres
 from ..rtcore.counters import LaunchStats
 from ..rtcore.device import RTDevice
-from ..rtcore.owl import OWLContext, OWLGroup, owl_context_create
+from ..rtcore.pipeline import ScenePipeline
+from ..rtcore.programs import SphereProgram
 
 __all__ = ["RTNeighborFinder", "rt_find_neighbors"]
 
@@ -63,29 +69,28 @@ class RTNeighborFinder:
     triangle_mode: bool = False
     triangle_subdivisions: int = 0
 
-    context: OWLContext = field(default=None, init=False)  # type: ignore[assignment]
-    group: OWLGroup = field(default=None, init=False)  # type: ignore[assignment]
+    pipeline: ScenePipeline = field(default=None, init=False)  # type: ignore[assignment]
     build_seconds: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if self.radius <= 0 or not np.isfinite(self.radius):
             raise ValueError("radius (eps) must be positive")
-        # One validated float64 lift; the scene geometry, the intersection
-        # programs and any later refit all share this single array instead of
+        # One validated float64 lift; the scene geometry, the sphere program
+        # and any later refit all share this single array instead of
         # re-validating (and re-copying) per step.
         self.points = ensure_points3d(self.points)
         self.device = self.device or RTDevice()
-        self.context = owl_context_create(self.device)
         if self.triangle_mode:
-            _, geom = self.context.create_triangle_geom_type(
+            geometry = tessellate_spheres(
                 self.points, self.radius, subdivisions=self.triangle_subdivisions
             )
         else:
-            _, geom = self.context.create_sphere_geom_type(self.points, self.radius)
-        self.group = self.context.build_group(
-            geom, builder=self.builder, leaf_size=self.leaf_size, chunk_size=self.chunk_size
+            geometry = SphereGeometry(self.points, self.radius)
+        self.pipeline = ScenePipeline(
+            device=self.device, geometry=geometry, builder=self.builder,
+            leaf_size=self.leaf_size, chunk_size=self.chunk_size,
         )
-        self.build_seconds = self.group.build_seconds
+        self.build_seconds = self.pipeline.build_accel()
 
     # ------------------------------------------------------------------ #
     @property
@@ -95,42 +100,17 @@ class RTNeighborFinder:
     @property
     def num_prims(self) -> int:
         """Scene primitives (spheres, or triangles in triangle mode)."""
-        return len(self.group.geom.primitives)
+        return self.pipeline.num_primitives
 
-    def _external_programs(self, query_pts: np.ndarray):
-        """Intersection program for query points that are not the dataset.
-
-        The default sphere program assumes the launch rays originate at the
-        dataset points themselves (so the ``q != s`` self filter is an index
-        comparison); external queries need a program bound to their own
-        coordinates and no self filter.
-        """
-        from ..rtcore.programs import ProgramGroup
-
-        centers = self.points
-        r2 = self.radius * self.radius
-
-        def intersection(query_idx: np.ndarray, prim_idx: np.ndarray) -> np.ndarray:
-            if self.triangle_mode:
-                targets = centers[self.group.geom.primitives.owners[prim_idx]]
-            else:
-                targets = centers[prim_idx]
-            d = query_pts[query_idx] - targets
-            return np.einsum("ij,ij->i", d, d) <= r2
-
-        payload = {}
-        if not self.triangle_mode:
-            # Native-tier descriptor: external queries confirm against their
-            # own coordinates and carry no self filter.
-            payload["native_sphere"] = {
-                "centers": centers,
-                "confirm_pts": query_pts,
-                "r2": r2,
-                "exclude_self": False,
-            }
-        return ProgramGroup(
-            intersection=intersection, name="external-queries", payload=payload
-        )
+    def _launch_args(self, queries: np.ndarray | None) -> tuple[np.ndarray, SphereProgram]:
+        """Launch points and program; dataset queries drop the self hit."""
+        owners = self.pipeline.geometry.owners if self.triangle_mode else None
+        if queries is None:
+            return self.points, SphereProgram(
+                self.points, self.radius, exclude_self=True, owners=owners
+            )
+        pts = ensure_points3d(queries, name="queries")
+        return pts, SphereProgram(self.points, self.radius, owners=owners)
 
     def neighbor_counts(
         self, queries: np.ndarray | None = None
@@ -142,10 +122,7 @@ class RTNeighborFinder:
         Arbitrary external query points are also supported (no self filter).
         Counts always equal the row lengths of :meth:`neighbor_csr`.
         """
-        if queries is None:
-            return self.group.launch_counts(self.points)
-        pts = ensure_points3d(queries, name="queries")
-        return self.group.launch_counts(pts, programs=self._external_programs(pts))
+        return self.pipeline.launch_count_queries(*self._launch_args(queries))
 
     def neighbor_csr(
         self, queries: np.ndarray | None = None
@@ -157,10 +134,7 @@ class RTNeighborFinder:
         candidate pair set never exists in memory.  Self pairs are excluded
         when querying the dataset against itself.
         """
-        if queries is None:
-            return self.group.launch_csr(self.points)
-        pts = ensure_points3d(queries, name="queries")
-        return self.group.launch_csr(pts, programs=self._external_programs(pts))
+        return self.pipeline.launch_csr_queries(*self._launch_args(queries))
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:
         """Per-query neighbour index lists (convenience wrapper for examples)."""
@@ -169,7 +143,7 @@ class RTNeighborFinder:
 
     def release(self) -> None:
         """Free the device-side scene."""
-        self.context.destroy()
+        self.pipeline.release()
 
 
 def rt_find_neighbors(

@@ -1,26 +1,21 @@
-"""Simulated RT hardware and OptiX/OWL-style programming model.
+"""Simulated RT hardware and the OptiX-style programming model.
 
 ``RTDevice`` stands in for the RTX 2060 testbed; ``ScenePipeline`` reproduces
 the OptiX pipeline of Fig. 2 (bounds program → hardware BVH build → hardware
-traversal → Intersection program); ``owl`` offers the OWL-flavoured
-facade the paper's implementation is written against.
+traversal → Intersection program); ``SphereProgram`` is the paper's sphere
+Intersection program and ``launch_sphere`` the one launch function every
+sphere query runs through, on the native or the numpy kernel tier.
 """
 
 from .counters import LaunchStats
 from .device import RTDevice
-from .owl import OWLContext, OWLGeom, OWLGeomType, OWLGroup, owl_context_create
 from .pipeline import ScenePipeline
-from .programs import ProgramGroup, sphere_intersection_program
+from .programs import SphereProgram, launch_sphere
 
 __all__ = [
     "LaunchStats",
     "RTDevice",
-    "OWLContext",
-    "OWLGeom",
-    "OWLGeomType",
-    "OWLGroup",
-    "owl_context_create",
     "ScenePipeline",
-    "ProgramGroup",
-    "sphere_intersection_program",
+    "SphereProgram",
+    "launch_sphere",
 ]

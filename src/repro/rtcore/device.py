@@ -3,9 +3,9 @@
 ``RTDevice`` stands in for the paper's NVIDIA RTX 2060: it owns a cost model
 (how fast the RT cores and shader cores are), a device-memory tracker (6 GB),
 and a running tally of the operations executed on it.  All higher layers —
-the OptiX-style pipeline, the OWL wrapper and the DBSCAN algorithms — charge
-their work to a device instance, which is what makes the simulated timings
-comparable across algorithms.
+the OptiX-style pipeline, the neighbour backends and the DBSCAN algorithms —
+charge their work to a device instance, which is what makes the simulated
+timings comparable across algorithms.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ The pipeline mirrors the structure of Fig. 2 in the paper:
 2.  ``build_accel`` hands the per-primitive AABBs to the device, which builds
     the BVH (hardware-accelerated when RT cores are present) and charges the
     build cost;
-3.  ``launch_*`` generates one query ray per input point, traverses the BVH
-    in "hardware" (the vectorised frontier kernels of :mod:`repro.bvh`), and
-    invokes the user's Intersection program once per candidate primitive;
-    triangle mode also pays one AnyHit invocation per confirmed triangle hit
-    (the program that records the hit against the triangle's sphere).
+3.  ``launch_*`` generates one query ray per input point and hands it,
+    with the caller's :class:`~repro.rtcore.programs.SphereProgram`, to
+    :func:`~repro.rtcore.programs.launch_sphere`, which traverses the BVH in
+    "hardware" (the native DFS kernel or the numpy frontier kernels of
+    :mod:`repro.bvh`) and runs the Intersection program once per candidate
+    primitive; triangle mode also pays one AnyHit invocation per confirmed
+    triangle hit (the program that records the hit against the triangle's
+    sphere).
 
 A launch returns either per-query hit counts or a canonical CSR adjacency
 (see :mod:`repro.adjacency`), together with a :class:`LaunchStats` record of
@@ -30,72 +33,15 @@ from ..bvh.lbvh import build_lbvh
 from ..bvh.node import BVH
 from ..bvh.refit import refit as refit_bvh
 from ..bvh.sah import build_sah
-from ..bvh.traversal import TraversalStats, point_query_counts_early_exit, point_query_csr
 from ..geometry.sphere import SphereGeometry
 from ..geometry.transforms import ensure_points3d
 from ..geometry.triangle import TriangleGeometry
-from ..native import dispatch as native_dispatch
 from ..perf.cost_model import OpCounts
 from .counters import LaunchStats
 from .device import RTDevice
-from .programs import ProgramGroup
+from .programs import SphereProgram, launch_sphere
 
 __all__ = ["ScenePipeline"]
-
-
-def _native_sphere_query(bvh, pts: np.ndarray, programs: ProgramGroup, collect: bool):
-    """Run a sphere-program launch on the native tier, if possible.
-
-    Engages only when the program group carries a ``native_sphere`` payload
-    (the descriptor the sphere-geometry constructors attach; see
-    :mod:`repro.rtcore.programs`) and the native kernels are active.  Returns
-    ``None`` to run the numpy traversal, else ``(row_counts, traversal)`` in
-    counting mode or ``(indptr, indices, traversal)`` in CSR mode — all
-    byte-identical to the numpy kernels, stats included.
-    """
-    desc = programs.payload.get("native_sphere")
-    if desc is None:
-        return None
-    nk = native_dispatch.kernels()
-    if nk is None:
-        return None
-    qpts = np.ascontiguousarray(pts)
-    confirm_pts = desc["confirm_pts"]
-    centers = desc["centers"]
-    if confirm_pts.shape[0] < qpts.shape[0]:
-        return None
-    nq = qpts.shape[0]
-    row_counts = np.zeros(nq, dtype=np.int64)
-    stats_buf = np.zeros(5, dtype=np.int64)
-    kwargs = dict(
-        exclude_self=desc.get("exclude_self", False),
-        self_map=desc.get("self_map"),
-        active=desc.get("active"),
-    )
-    ok = nk.bvh_sphere(
-        qpts, confirm_pts, bvh, centers, desc["r2"],
-        row_counts=row_counts, stats=stats_buf, **kwargs,
-    )
-    if not ok:
-        return None
-    traversal = TraversalStats(
-        queries=nq,
-        node_visits=int(stats_buf[0]),
-        leaf_visits=int(stats_buf[1]),
-        candidates=int(stats_buf[2]),
-        confirmed=int(stats_buf[3]),
-        levels=int(stats_buf[4]),
-    )
-    if not collect:
-        return row_counts, traversal
-    indptr = np.zeros(nq + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    nk.bvh_sphere(
-        qpts, confirm_pts, bvh, centers, desc["r2"],
-        indptr=indptr, indices=indices, **kwargs,
-    )
-    return indptr, indices, traversal
 
 
 @dataclass
@@ -192,7 +138,7 @@ class ScenePipeline:
 
     # ------------------------------------------------------------------ #
     def launch_csr_queries(
-        self, points: np.ndarray, programs: ProgramGroup
+        self, points: np.ndarray, program: SphereProgram
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and return confirmed hits as a CSR adjacency.
 
@@ -208,13 +154,9 @@ class ScenePipeline:
         """
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        native = _native_sphere_query(bvh, pts, programs, collect=True)
-        if native is not None:
-            indptr, indices, traversal = native
-        else:
-            indptr, indices, traversal = point_query_csr(
-                bvh, pts, programs.intersection, chunk_size=self.chunk_size
-            )
+        indptr, indices, traversal = launch_sphere(
+            bvh, pts, program, collect=True, chunk_size=self.chunk_size
+        )
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
         if self.is_triangle_mode:
@@ -229,7 +171,7 @@ class ScenePipeline:
         return indptr, indices, stats
 
     def launch_count_queries(
-        self, points: np.ndarray, programs: ProgramGroup
+        self, points: np.ndarray, program: SphereProgram
     ) -> tuple[np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and count confirmed hits per query.
 
@@ -240,17 +182,13 @@ class ScenePipeline:
         neighbour once per triangle hit); it charges the same operations.
         """
         if self.is_triangle_mode:
-            indptr, _, stats = self.launch_csr_queries(points, programs)
+            indptr, _, stats = self.launch_csr_queries(points, program)
             return np.diff(indptr), stats
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        native = _native_sphere_query(bvh, pts, programs, collect=False)
-        if native is not None:
-            counts, traversal = native
-        else:
-            counts, traversal = point_query_counts_early_exit(
-                bvh, pts, programs.intersection, chunk_size=self.chunk_size
-            )
+        counts, traversal = launch_sphere(
+            bvh, pts, program, collect=False, chunk_size=self.chunk_size
+        )
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
         stats.confirmed_hits = traversal.confirmed

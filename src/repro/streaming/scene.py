@@ -34,7 +34,7 @@ from ..perf.cost_model import OpCounts
 from ..rtcore.counters import LaunchStats
 from ..rtcore.device import RTDevice
 from ..rtcore.pipeline import ScenePipeline
-from ..rtcore.programs import ProgramGroup
+from ..rtcore.programs import SphereProgram
 from .policy import RefitPolicy
 
 __all__ = ["StreamingScene", "HostStreamingScene"]
@@ -265,44 +265,19 @@ class StreamingScene:
         """ε-rays from the given (active) slots, confirmed hits as CSR.
 
         Row ``i`` of the returned ``(indptr, indices)`` adjacency holds the
-        hit slot ids of query slot ``slots[i]``.  The intersection program
-        applies the exact distance test, rejects parked primitives, and
-        excludes the self hit — matching the batch sphere program's
-        semantics.  Runs through the zero-materialisation CSR launch, so the
-        candidate pair set is confirmed chunk-by-chunk inside the traversal.
+        hit slot ids of query slot ``slots[i]``.  The sphere program applies
+        the exact distance test, rejects parked primitives through the
+        ``active`` mask, and excludes the self hit through the slot map.
+        Runs through the zero-materialisation CSR launch, so the candidate
+        pair set is confirmed chunk-by-chunk inside the traversal.
         """
         slots = np.asarray(slots, dtype=np.intp)
         if slots.size == 0:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
         if self.pipeline is None:
             raise RuntimeError("commit() must run before querying the scene")
-        qpts = self.centers[slots]
-        eps2 = self.eps * self.eps
-
-        def intersection(query_idx: np.ndarray, prim_idx: np.ndarray) -> np.ndarray:
-            d = qpts[query_idx] - self.centers[prim_idx]
-            hit = np.einsum("ij,ij->i", d, d) <= eps2
-            hit &= self.active[prim_idx]
-            hit &= slots[query_idx] != prim_idx
-            return hit
-
-        programs = ProgramGroup(
-            intersection=intersection,
-            name="streaming-window",
-            # Native-tier descriptor: parked primitives are rejected via the
-            # active mask and the self hit via the slot map (prim != slots[q]),
-            # mirroring the closure above bit-for-bit.
-            payload={
-                "native_sphere": {
-                    "centers": self.centers,
-                    "confirm_pts": qpts,
-                    "r2": eps2,
-                    "self_map": slots,
-                    "active": self.active,
-                }
-            },
-        )
-        return self.pipeline.launch_csr_queries(qpts, programs)
+        program = SphereProgram(self.centers, self.eps, self_map=slots, active=self.active)
+        return self.pipeline.launch_csr_queries(self.centers[slots], program)
 
     def release(self) -> None:
         """Free the device-side scene."""

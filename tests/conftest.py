@@ -51,6 +51,25 @@ def blob_points_3d() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
+def boundary_eps() -> float:
+    """An ε for which ``eps ** 2`` rounds below ``eps * eps``.
+
+    Python's float ``**`` goes through libm ``pow``, which rounds one ulp
+    away from the product for a small share of radii.  Points exactly ε
+    apart (squared distance ``eps * eps``) are neighbours on every layer
+    only if each one compares against the same r², ``eps * eps``; a layer
+    that used ``eps ** 2`` would drop them for this ε.  This is the first
+    such value of a fixed seeded sequence.  A host whose ``pow`` never
+    rounds below the product falls back to 7.813052870977749, which still
+    puts pairs on the ε boundary.
+    """
+    for eps in np.random.default_rng(0).uniform(1.0, 10.0, 100_000).tolist():
+        if eps**2 < eps * eps:
+            return eps
+    return 7.813052870977749
+
+
+@pytest.fixture(scope="session")
 def random_points_2d(rng) -> np.ndarray:
     return rng.uniform(-5.0, 5.0, size=(400, 2))
 

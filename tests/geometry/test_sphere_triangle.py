@@ -33,18 +33,6 @@ class TestSphereGeometry:
         np.testing.assert_allclose(box.lower[0], [-0.5, -0.5, -0.5])
         np.testing.assert_allclose(box.upper[1], [2.5, 2.5, 2.5])
 
-    def test_contains_is_exact_distance_test(self):
-        centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        g = SphereGeometry(centers, 1.0)
-        pts = np.array([[0.5, 0, 0], [0.5, 0, 0], [4.5, 0, 0]])
-        ids = np.array([0, 1, 1])
-        assert g.contains(pts, ids).tolist() == [True, False, True]
-
-    def test_squared_distance(self):
-        g = SphereGeometry(np.array([[0.0, 0.0, 0.0]]), 1.0)
-        d2 = g.squared_distance(np.array([[3.0, 4.0, 0.0]]), np.array([0]))
-        np.testing.assert_allclose(d2, [25.0])
-
 
 class TestIcosphere:
     def test_base_icosahedron(self):

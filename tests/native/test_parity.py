@@ -24,8 +24,11 @@ from repro.api.registry import make_backend
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.dbscan.rt_dbscan import RTDBSCAN
+from repro.geometry.transforms import ensure_points3d
 from repro.native import dispatch
+from repro.neighbors.rt_find import RTNeighborFinder
 from repro.partition.tiled import TiledRTDBSCAN
+from repro.streaming import RefitPolicy, StreamingScene
 from repro.streaming.engine import StreamingRTDBSCAN
 
 #: Exact native-capable backends: valid in every pipeline (incl. tiled).
@@ -240,3 +243,67 @@ class TestBackendCsrParity:
         assert ip0.tobytes() == ip1.tobytes()
         assert ix0.tobytes() == ix1.tobytes()
         assert st0.counts.as_dict() == st1.counts.as_dict()
+
+
+class TestSphereLaunchTier:
+    """Every sphere launch path really runs the compiled ``bvh_sphere``.
+
+    ``kernel_tier`` reports the tier that was active, not the kernels that
+    ran, so a launch path that silently fell back to numpy would keep every
+    parity test above green.  Counting the kernel's calls closes that gap:
+    a count launch is one pass, a CSR launch a count pass plus a fill pass.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = dispatch.NativeKernels.bvh_sphere
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch.NativeKernels, "bvh_sphere", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["rt", "kdtree"])
+    @pytest.mark.parametrize("queries", ["dataset", "external"])
+    def test_backend_launches(self, dataset, calls, backend, queries):
+        _, pts, eps = dataset
+        q = None if queries == "dataset" else pts[::3] + eps / 7.0
+        finder = make_backend(backend, pts, eps)
+        try:
+            with dispatch.override(True):
+                finder.neighbor_counts(q)
+                assert len(calls) == 1
+                finder.neighbor_csr(q)
+                assert len(calls) == 3
+            with dispatch.override(False):
+                finder.neighbor_counts(q)
+                finder.neighbor_csr(q)
+                assert len(calls) == 3
+        finally:
+            finder.release()
+
+    def test_streaming_scene_query(self, dataset, calls):
+        _, pts, eps = dataset
+        scene = StreamingScene(eps)
+        slots = scene.add(ensure_points3d(pts))
+        scene.commit(RefitPolicy())
+        with dispatch.override(True):
+            scene.query_csr(slots[:100])
+            assert calls == [100, 100]
+        with dispatch.override(False):
+            scene.query_csr(slots[:100])
+            assert len(calls) == 2
+        scene.release()
+
+    def test_triangle_mode_stays_on_numpy(self, dataset, calls):
+        _, pts, eps = dataset
+        finder = RTNeighborFinder(pts[:200], eps, triangle_mode=True)
+        with dispatch.override(True):
+            finder.neighbor_counts()
+            finder.neighbor_csr()
+            finder.neighbor_csr(pts[:20] + eps / 7.0)
+        finder.release()
+        assert calls == []

@@ -54,11 +54,12 @@ class TestBackendProtocol:
         finally:
             backend.release()
 
+    @pytest.mark.parametrize("radius", [0.0, np.nan, np.inf])
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_invalid_radius_raises(self, blobs, name):
+    def test_invalid_radius_raises(self, blobs, name, radius):
         pts, _ = blobs
         with pytest.raises(ValueError):
-            make_backend(name, pts, 0.0)
+            make_backend(name, pts, radius)
 
     def test_unknown_backend_raises(self, blobs):
         pts, eps = blobs

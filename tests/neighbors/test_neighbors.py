@@ -117,6 +117,17 @@ class TestRTNeighborFinder:
         for a, b in zip(sphere_lists, tri_lists):
             assert set(a.tolist()) == set(b.tolist())
 
+    @pytest.mark.parametrize("triangle_mode", [False, True], ids=["sphere", "triangle"])
+    def test_pair_exactly_eps_apart_is_listed(self, boundary_eps, triangle_mode):
+        # Both points sit on each other's sphere surface: squared distance
+        # eps * eps, which the sphere program's r2 must accept.
+        pts = np.array([[0.0, 0.0], [boundary_eps, 0.0]])
+        finder = RTNeighborFinder(pts, boundary_eps, triangle_mode=triangle_mode)
+        indptr, indices, _ = finder.neighbor_csr()
+        np.testing.assert_array_equal(indptr, [0, 1, 2])
+        np.testing.assert_array_equal(indices, [1, 0])
+        finder.release()
+
     @pytest.mark.parametrize("subdivisions", [0, 1])
     def test_triangle_mode_counts_are_csr_row_lengths(self, subdivisions):
         # A sphere is hit through several of its triangles; the counts must

@@ -7,11 +7,12 @@ import pytest
 
 from repro.adjacency import csr_row_ids
 from repro.geometry.sphere import SphereGeometry
+from repro.geometry.triangle import tessellate_spheres
 from repro.perf.cost_model import DeviceCostModel, OpCounts
 from repro.perf.memory import DeviceMemoryError
 from repro.rtcore.device import RTDevice
 from repro.rtcore.pipeline import ScenePipeline
-from repro.rtcore.programs import ProgramGroup, sphere_intersection_program
+from repro.rtcore.programs import SphereProgram
 
 
 def _sphere_scene(n=200, radius=0.5, seed=0):
@@ -73,9 +74,8 @@ class TestScenePipeline:
     def test_launch_before_build_raises(self):
         centers, geom = _sphere_scene()
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)
-        programs = ProgramGroup(intersection=sphere_intersection_program(centers, 0.5))
         with pytest.raises(RuntimeError, match="build_accel"):
-            pipe.launch_csr_queries(centers, programs)
+            pipe.launch_csr_queries(centers, SphereProgram(centers, 0.5))
 
     def test_unknown_builder_raises(self):
         centers, geom = _sphere_scene()
@@ -88,10 +88,8 @@ class TestScenePipeline:
         dev = RTDevice()
         pipe = ScenePipeline(device=dev, geometry=geom)
         pipe.build_accel()
-        programs = ProgramGroup(
-            intersection=sphere_intersection_program(centers, 0.8, exclude_self=True)
-        )
-        indptr, indices, stats = pipe.launch_csr_queries(centers, programs)
+        program = SphereProgram(centers, 0.8, exclude_self=True)
+        indptr, indices, stats = pipe.launch_csr_queries(centers, program)
         got = set(zip(csr_row_ids(indptr).tolist(), indices.tolist()))
         d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         exp_q, exp_p = np.nonzero((d2 <= 0.8**2) & ~np.eye(len(centers), dtype=bool))
@@ -103,11 +101,9 @@ class TestScenePipeline:
         centers, geom = _sphere_scene(120, radius=0.6)
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)
         pipe.build_accel()
-        programs = ProgramGroup(
-            intersection=sphere_intersection_program(centers, 0.6, exclude_self=True)
-        )
-        counts, count_stats = pipe.launch_count_queries(centers, programs)
-        indptr, _, csr_stats = pipe.launch_csr_queries(centers, programs)
+        program = SphereProgram(centers, 0.6, exclude_self=True)
+        counts, count_stats = pipe.launch_count_queries(centers, program)
+        indptr, _, csr_stats = pipe.launch_csr_queries(centers, program)
         np.testing.assert_array_equal(counts, np.diff(indptr))
         assert count_stats.counts == csr_stats.counts
 
@@ -116,8 +112,7 @@ class TestScenePipeline:
         dev = RTDevice(has_rt_cores=False)
         pipe = ScenePipeline(device=dev, geometry=geom)
         pipe.build_accel()
-        programs = ProgramGroup(intersection=sphere_intersection_program(centers, 0.5))
-        pipe.launch_csr_queries(centers, programs)
+        pipe.launch_csr_queries(centers, SphereProgram(centers, 0.5))
         assert dev.total_counts.sm_node_visits > 0
         assert dev.total_counts.rt_node_visits == 0
 
@@ -129,12 +124,42 @@ class TestScenePipeline:
         with pytest.raises(DeviceMemoryError):
             pipe.build_accel()
 
+    def test_sphere_scene_round_trip(self):
+        centers, geom = _sphere_scene(150, radius=0.4)
+        dev = RTDevice()
+        pipe = ScenePipeline(device=dev, geometry=geom)
+        assert pipe.num_primitives == 150
+        assert pipe.build_accel() > 0
+        indptr, indices, stats = pipe.launch_csr_queries(
+            centers, SphereProgram(centers, 0.4, exclude_self=True)
+        )
+        assert stats.num_rays == 150
+        assert indices.size > 0
+        # Self hits are excluded.
+        assert not np.any(csr_row_ids(indptr) == indices)
+        pipe.release()
+        assert dev.memory.used_bytes == 0
 
-class TestIntersectionProgram:
+    def test_triangle_scene(self):
+        centers, _ = _sphere_scene(40, seed=3)
+        tris = tessellate_spheres(centers, 0.5, subdivisions=0)
+        pipe = ScenePipeline(device=RTDevice(), geometry=tris)
+        assert pipe.is_triangle_mode
+        assert pipe.num_primitives == 40 * 20
+        pipe.build_accel()
+        program = SphereProgram(centers, 0.5, exclude_self=True, owners=tris.owners)
+        _, indices, stats = pipe.launch_csr_queries(centers, program)
+        # Triangle-mode hits are mapped back to owner data points.
+        assert indices.size > 0
+        assert indices.max() < 40
+        assert stats.anyhit_calls >= stats.confirmed_hits
+
+
+class TestSphereProgram:
     def test_exclude_self_flag(self):
         centers = np.zeros((3, 3))
-        with_self = sphere_intersection_program(centers, 1.0, exclude_self=False)
-        without = sphere_intersection_program(centers, 1.0, exclude_self=True)
+        with_self = SphereProgram(centers, 1.0, exclude_self=False).confirm(centers)
+        without = SphereProgram(centers, 1.0, exclude_self=True).confirm(centers)
         q = np.array([0, 1])
         p = np.array([0, 2])
         assert with_self(q, p).tolist() == [True, True]
@@ -142,5 +167,21 @@ class TestIntersectionProgram:
 
     def test_distance_filtering(self):
         centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        prog = sphere_intersection_program(centers, 1.0)
-        assert prog(np.array([0]), np.array([1])).tolist() == [False]
+        confirm = SphereProgram(centers, 1.0).confirm(centers)
+        assert confirm(np.array([0]), np.array([1])).tolist() == [False]
+
+    def test_confirm_is_exact_distance_test(self):
+        centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        pts = np.array([[0.5, 0, 0], [0.5, 0, 0], [4.5, 0, 0]])
+        confirm = SphereProgram(centers, 1.0).confirm(pts)
+        hits = confirm(np.arange(3), np.array([0, 1, 1]))
+        assert hits.tolist() == [True, False, True]
+
+    def test_slot_filters(self):
+        centers = np.zeros((4, 3))
+        active = np.array([True, True, False, True])
+        program = SphereProgram(centers, 1.0, self_map=np.array([1, 3]), active=active)
+        confirm = program.confirm(centers[[1, 3]])
+        q = np.array([0, 0, 0, 1, 1])
+        p = np.array([0, 1, 2, 1, 3])
+        assert confirm(q, p).tolist() == [True, False, False, True, False]

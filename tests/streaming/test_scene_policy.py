@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.dbscan.disjoint_set import ParallelDisjointSet
+from repro.geometry.sphere import SphereGeometry
 from repro.perf.cost_model import DEFAULT_COST_MODEL, OpCounts
 from repro.rtcore.device import RTDevice
-from repro.rtcore.owl import owl_context_create
+from repro.rtcore.pipeline import ScenePipeline
 from repro.streaming import RefitPolicy, StreamingScene
 from repro.streaming.scene import HostStreamingScene
 
@@ -35,25 +36,25 @@ class TestCostModelRefit:
         assert "bvh_refit_prims" in merged.as_dict()
 
 
-class TestOWLRefit:
-    def test_group_refit_updates_bounds_and_charges_device(self):
+class TestPipelineRefit:
+    def test_refit_updates_bounds_and_charges_device(self):
         device = RTDevice()
         centers = np.random.default_rng(0).uniform(0, 5, size=(64, 3))
-        context = owl_context_create(device)
-        _, geom = context.create_sphere_geom_type(centers, 0.4)
-        group = context.build_group(geom)
+        geometry = SphereGeometry(centers, 0.4)
+        pipeline = ScenePipeline(device=device, geometry=geometry)
+        pipeline.build_accel()
         # Move a primitive, refit, and check the root bounds follow it.
-        geom.primitives.centers[0] = np.array([50.0, 50.0, 50.0])
-        seconds = group.refit_accel()
+        geometry.centers[0] = np.array([50.0, 50.0, 50.0])
+        seconds = pipeline.refit_accel()
         assert seconds > 0
-        bvh = group.pipeline.bvh
+        bvh = pipeline.bvh
         assert bvh.node_upper[0][0] >= 50.0
         assert bvh.builder.endswith("+refit")
         assert device.total_counts.bvh_refit_prims == 64
         # Refitting again must not stack another "+refit" suffix.
-        group.refit_accel()
-        assert group.pipeline.bvh.builder.count("+refit") == 1
-        context.destroy()
+        pipeline.refit_accel()
+        assert pipeline.bvh.builder.count("+refit") == 1
+        pipeline.release()
 
 
 class TestRefitPolicy:

@@ -39,8 +39,15 @@ CELLS = (
 )
 
 
+def eps_boundary_points(eps: float) -> np.ndarray:
+    """Three centres, each with 3 copies of each axis offset ±ε (39 points)."""
+    offsets = np.array([[eps, 0.0], [-eps, 0.0], [0.0, eps], [0.0, -eps]])
+    centres = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+    return np.vstack([np.vstack([c, np.repeat(c + offsets, 3, axis=0)]) for c in centres])
+
+
 @pytest.fixture(scope="module")
-def datasets():
+def datasets(boundary_eps):
     pts, _ = make_blobs(
         700, centers=np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 4.0]]), std=0.25, seed=7
     )
@@ -50,6 +57,9 @@ def datasets():
     return {
         "blobs": (blobs, 0.3),
         "ngsim": (ngsim, calibrate_eps(ngsim, MIN_PTS, 0.30)),
+        # Pairs exactly ε apart: each centre is core only if its 12 offset
+        # copies count as neighbours.
+        "eps-boundary": (eps_boundary_points(boundary_eps), boundary_eps),
     }
 
 
@@ -80,8 +90,9 @@ class TestEquivalenceMatrix:
     def test_references_are_non_trivial(self, references):
         assert references["blobs"].num_clusters >= 3
         assert references["blobs"].num_noise > 0
+        assert references["eps-boundary"].num_clusters == 3
 
-    @pytest.mark.parametrize("data", ["blobs", "ngsim"])
+    @pytest.mark.parametrize("data", ["blobs", "ngsim", "eps-boundary"])
     @pytest.mark.parametrize(
         "layer,backend", CELLS, ids=[f"{layer}-{backend}" for layer, backend in CELLS]
     )
