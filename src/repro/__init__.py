@@ -43,7 +43,6 @@ Quickstart
 from .api import (
     Clusterer,
     ClustererSpec,
-    StreamingClusterer,
     cluster,
     list_algorithms,
     list_backends,
@@ -73,7 +72,6 @@ __all__ = [
     "cluster",
     "Clusterer",
     "ClustererSpec",
-    "StreamingClusterer",
     "list_algorithms",
     "list_backends",
     "make_backend",

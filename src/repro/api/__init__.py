@@ -2,8 +2,8 @@
 
 Layering
 --------
-* :mod:`repro.api.protocol` — the ``Clusterer`` / ``StreamingClusterer``
-  protocols every implementation satisfies;
+* :mod:`repro.api.protocol` — the ``Clusterer`` protocol every
+  implementation satisfies;
 * :mod:`repro.api.registry` — decorator-based algorithm and neighbour-backend
   registries plus the ``make_clusterer`` / ``make_backend`` factories;
 * :mod:`repro.api.spec` — the declarative ``ClustererSpec`` configuration;
@@ -11,7 +11,7 @@ Layering
 """
 
 from .facade import cluster
-from .protocol import Clusterer, ClustererMixin, StreamingClusterer
+from .protocol import Clusterer, ClustererMixin
 from .registry import (
     AlgorithmEntry,
     BackendEntry,
@@ -21,7 +21,6 @@ from .registry import (
     list_backends,
     make_backend,
     make_clusterer,
-    make_streaming_clusterer,
     register_algorithm,
     register_backend,
     resolve_algorithm,
@@ -32,7 +31,6 @@ __all__ = [
     "cluster",
     "Clusterer",
     "ClustererMixin",
-    "StreamingClusterer",
     "AlgorithmEntry",
     "BackendEntry",
     "get_algorithm",
@@ -41,7 +39,6 @@ __all__ = [
     "list_backends",
     "make_backend",
     "make_clusterer",
-    "make_streaming_clusterer",
     "register_algorithm",
     "register_backend",
     "resolve_algorithm",

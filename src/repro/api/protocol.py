@@ -1,8 +1,8 @@
 """The estimator protocol every clusterer in this package satisfies.
 
 The protocol follows the sklearn convention the related clustering libraries
-use (``fit`` / ``fit_predict``, plus ``partial_fit`` for engines that accept
-data incrementally), while keeping this package's richer return type:
+use (``fit`` / ``fit_predict``; the streaming engine adds ``partial_fit``),
+while keeping this package's richer return type:
 ``fit`` returns a :class:`~repro.dbscan.params.DBSCANResult`, not ``self``,
 because the timing report and core mask are first-class outputs here.
 
@@ -16,7 +16,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Clusterer", "StreamingClusterer", "ClustererMixin"]
+__all__ = ["Clusterer", "ClustererMixin"]
 
 
 @runtime_checkable
@@ -29,15 +29,6 @@ class Clusterer(Protocol):
 
     def fit_predict(self, points: np.ndarray) -> np.ndarray:
         """Cluster ``points`` and return only the label array."""
-        ...
-
-
-@runtime_checkable
-class StreamingClusterer(Clusterer, Protocol):
-    """A clusterer that additionally accepts data chunk by chunk."""
-
-    def partial_fit(self, points: np.ndarray) -> "StreamingClusterer":
-        """Ingest one chunk of points; returns ``self`` for chaining."""
         ...
 
 

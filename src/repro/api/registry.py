@@ -37,7 +37,6 @@ __all__ = [
     "list_backends",
     "make_backend",
     "make_clusterer",
-    "make_streaming_clusterer",
 ]
 
 
@@ -58,7 +57,6 @@ class AlgorithmEntry:
     description: str = ""
     instrumented: bool = True
     supports_backend: bool = False
-    supports_partial_fit: bool = False
     supports_tiles: bool = False
     supports_native: bool = False
     aliases: tuple[str, ...] = ()
@@ -135,7 +133,6 @@ def register_algorithm(
     description: str = "",
     instrumented: bool = True,
     supports_backend: bool = False,
-    supports_partial_fit: bool = False,
     supports_tiles: bool = False,
     supports_native: bool = False,
     aliases: tuple[str, ...] = (),
@@ -158,7 +155,6 @@ def register_algorithm(
             description=description,
             instrumented=instrumented,
             supports_backend=supports_backend,
-            supports_partial_fit=supports_partial_fit,
             supports_tiles=supports_tiles,
             supports_native=supports_native,
             aliases=tuple(a.lower() for a in aliases),
@@ -311,22 +307,3 @@ def make_clusterer(spec, *, device=None):
         params["native_threads"] = spec.native_threads
     return entry.factory(eps=spec.eps, min_pts=spec.min_pts, device=device, **params)
 
-
-def make_streaming_clusterer(spec, *, device=None):
-    """Instantiate a clusterer that supports incremental per-chunk ingest.
-
-    Exactly :func:`make_clusterer` plus the guarantee the serving layer
-    builds sessions on: the resolved algorithm must have been registered with
-    ``supports_partial_fit=True`` (so the instance satisfies the
-    :class:`~repro.api.protocol.StreamingClusterer` protocol and can consume
-    a feed chunk by chunk).  Raises ``ValueError`` for batch-only algorithms
-    instead of failing at the first ``partial_fit`` call.
-    """
-    entry, _ = spec.resolve()
-    if not entry.supports_partial_fit:
-        raise ValueError(
-            f"algorithm {entry.name!r} does not support partial_fit; "
-            "sessions need a streaming-capable algorithm such as "
-            "'streaming-rt-dbscan'"
-        )
-    return make_clusterer(spec, device=device)

@@ -20,7 +20,7 @@ from .report import (
     format_speedup_table,
     format_time_table,
 )
-from .runner import ALGORITHMS, RunRecord, run_single, run_sweep, speedup_series
+from .runner import RunRecord, run_single, run_sweep, speedup_series
 
 __all__ = [
     "EXPERIMENTS",
@@ -34,7 +34,6 @@ __all__ = [
     "format_records",
     "format_speedup_table",
     "format_time_table",
-    "ALGORITHMS",
     "RunRecord",
     "run_single",
     "run_sweep",

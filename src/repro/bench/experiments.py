@@ -614,13 +614,12 @@ def run_streaming(
     ``mode`` selects the refit policy — ``"rebuild"`` is the per-chunk
     rebuild baseline the throughput benchmark compares against.
 
-    Since the feed is materialised up front, the engine is built with
-    :meth:`StreamingRTDBSCAN.for_feed`, which pre-sizes the scene's slot
-    buffer via the partition layer's occupancy bound — in particular an
-    unbounded-window run never grows its slot buffer, so it never pays a
-    growth-forced rebuild.
+    Since the feed is materialised up front, the scene's slot buffer is
+    sized for it with :func:`~repro.streaming.scene.feed_capacity` — in
+    particular an unbounded-window run never grows its slot buffer, so it
+    never pays a growth-forced rebuild.
     """
-    from ..streaming import RefitPolicy, StreamingRTDBSCAN
+    from ..streaming import RefitPolicy, StreamingRTDBSCAN, feed_capacity
 
     if num_chunks < 1:
         raise ValueError("num_chunks must be a positive integer")
@@ -631,12 +630,12 @@ def run_streaming(
     if eps is None:
         eps = calibrate_eps(np.vstack(chunks), min_pts, eps_quantile)
 
-    engine = StreamingRTDBSCAN.for_feed(
-        np.vstack(chunks),
+    rows = sum(chunk.shape[0] for chunk in chunks)
+    engine = StreamingRTDBSCAN(
         eps,
         min_pts,
         window=window,
-        chunk_size=chunk_size,
+        initial_capacity=feed_capacity(rows, window, chunk_size),
         policy=RefitPolicy(mode=mode),
     )
     updates = engine.consume(chunks)

@@ -9,19 +9,16 @@ Algorithms are resolved from the registry in :mod:`repro.api.registry` — the
 hand-written factory table this module used to keep is gone.  Names may use
 the ``"algo@backend"`` spelling (e.g. ``"rt-dbscan@grid"``) to pin a
 neighbour backend, which is how the backend-ablation experiment labels its
-columns.  ``ALGORITHMS`` remains importable as a read-only mapping view over
-the registry for backward compatibility.
+columns.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api.registry import list_algorithms, resolve_algorithm
 from ..api.spec import ClustererSpec
 from ..dbscan.params import DBSCANResult
 from ..native import dispatch as native_dispatch
@@ -30,48 +27,7 @@ from ..perf.cost_model import DeviceCostModel
 from ..perf.memory import DeviceMemoryError
 from ..rtcore.device import RTDevice
 
-__all__ = ["RunRecord", "ALGORITHMS", "run_single", "run_sweep", "speedup_series"]
-
-
-class _AlgorithmsView(Mapping):
-    """Deprecated mapping shim over the algorithm registry.
-
-    Keeps ``from repro.bench.runner import ALGORITHMS`` working: iteration
-    yields the registered algorithm names, and indexing returns a legacy
-    ``factory(eps, min_pts, device, **kwargs)`` callable.  New code should
-    use :func:`repro.api.registry.resolve_algorithm` or
-    :func:`repro.cluster` instead.
-    """
-
-    def __getitem__(self, name: str):
-        entry, backend = resolve_algorithm(name)
-
-        def factory(eps, min_pts, device=None, **kwargs):
-            if backend is not None:
-                kwargs.setdefault("backend", backend)
-            return entry.factory(eps=eps, min_pts=min_pts, device=device, **kwargs)
-
-        return factory
-
-    def __contains__(self, name) -> bool:
-        # The old dict returned False for any unknown key; resolve_algorithm
-        # raises ValueError for @-spellings of non-backend algorithms, which
-        # must read as "not a valid name" here, not crash.
-        try:
-            resolve_algorithm(name)
-        except (KeyError, ValueError, TypeError, AttributeError):
-            return False
-        return True
-
-    def __iter__(self):
-        return iter(list_algorithms())
-
-    def __len__(self) -> int:
-        return len(list_algorithms())
-
-
-#: Deprecated: registry-backed view over algorithm name -> legacy factory.
-ALGORITHMS = _AlgorithmsView()
+__all__ = ["RunRecord", "run_single", "run_sweep", "speedup_series"]
 
 
 @dataclass

@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-session sliding-window size in points "
                               "(default: grow unbounded)")
     p_serve.add_argument("--algo", default="streaming-rt-dbscan", metavar="NAME",
-                         help="session algorithm; must support partial_fit "
-                              "(default streaming-rt-dbscan)")
+                         help="session algorithm: streaming-rt-dbscan, optionally "
+                              "@backend (default streaming-rt-dbscan)")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="session pool capacity (default 64); at capacity the "
                               "least-recently-used idle session is evicted")
@@ -275,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "busy/retry-after backpressure (default 64)")
     p_serve.add_argument("--max-batch-chunks", type=int, default=8,
                          help="micro-batch coalescing cap per update() call (default 8)")
-    p_serve.add_argument("--no-presize", action="store_true",
-                         help="disable for_feed slot-buffer pre-sizing from the "
-                              "tenant's first chunk")
     p_serve.add_argument("--state-dir", default=None, metavar="DIR",
                          help="durable session state: evicted/idle sessions spill "
                               "checksummed checkpoints here and restore on the "
@@ -485,7 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session_ttl_s=args.session_ttl if args.session_ttl > 0 else None,
             max_queue_chunks=args.max_queue_chunks,
             max_batch_chunks=args.max_batch_chunks,
-            presize=not args.no_presize,
             state_dir=args.state_dir,
             checkpoint_interval_s=(
                 args.checkpoint_interval if args.checkpoint_interval > 0 else None
@@ -549,8 +545,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
         tags = []
         if entry.supports_backend:
             tags.append("backends")
-        if entry.supports_partial_fit:
-            tags.append("partial_fit")
         if entry.supports_tiles:
             tags.append("tiles")
         if entry.supports_native:

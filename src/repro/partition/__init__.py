@@ -6,8 +6,7 @@ The scale-out decomposition for the RT-DBSCAN pipeline:
   serial/thread ordered-map executor used by tile fits and by the
   benchmark sweep runner;
 * :mod:`repro.partition.tiler` — :class:`Tiler` splits a dataset into
-  spatial tiles with ε-halo ghost regions (plus the streaming slot-capacity
-  planner built on its occupancy bound);
+  spatial tiles with ε-halo ghost regions;
 * :mod:`repro.partition.tiled` — :class:`TiledRTDBSCAN` runs Algorithm 3
   independently per tile on any registered neighbour backend;
 * :mod:`repro.partition.merge` — the halo boundary merge that stitches the
@@ -17,7 +16,7 @@ The scale-out decomposition for the RT-DBSCAN pipeline:
 from .executor import ParallelMap, as_parallel_map
 from .merge import MergeResult, merge_tiles
 from .tiled import TiledRTDBSCAN, TileJob, TileRunResult, run_tile, tiled_rt_dbscan
-from .tiler import Tile, Tiler, plan_stream_capacity
+from .tiler import Tile, Tiler
 
 __all__ = [
     "ParallelMap",
@@ -31,5 +30,4 @@ __all__ = [
     "tiled_rt_dbscan",
     "Tile",
     "Tiler",
-    "plan_stream_capacity",
 ]

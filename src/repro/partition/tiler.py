@@ -25,7 +25,7 @@ import numpy as np
 
 from ..geometry.transforms import lift_to_3d, validate_points
 
-__all__ = ["Tile", "Tiler", "plan_stream_capacity"]
+__all__ = ["Tile", "Tiler"]
 
 
 @dataclass
@@ -61,11 +61,6 @@ class Tile:
     @property
     def num_halo(self) -> int:
         return int(self.halo.size)
-
-    @property
-    def num_points(self) -> int:
-        """Local working-set size (owned + halo)."""
-        return self.num_owned + self.num_halo
 
     @property
     def indices(self) -> np.ndarray:
@@ -198,48 +193,3 @@ class Tiler:
                 )
             )
         return tiles
-
-    # ------------------------------------------------------------------ #
-    def occupancy(self, points: np.ndarray) -> np.ndarray:
-        """Working-set size (owned + halo) of every non-empty tile."""
-        return np.asarray([t.num_points for t in self.split(points)], dtype=np.int64)
-
-    def capacity_bound(self, points: np.ndarray) -> int:
-        """Largest per-tile working set — the scene size a shard must hold.
-
-        This is the slot-buffer bound a sharded deployment sizes each
-        device's scene by: no shard ever needs more ε-sphere slots than the
-        biggest tile's owned + halo occupancy.
-        """
-        occ = self.occupancy(points)
-        return int(occ.max()) if occ.size else 0
-
-
-def plan_stream_capacity(
-    points: np.ndarray,
-    eps: float,
-    *,
-    window: int | None,
-    chunk_size: int,
-    tiles: int = 1,
-) -> int:
-    """Slot-buffer capacity for a streaming run over a known feed.
-
-    The streaming scene grows geometrically when its slot buffer fills, and
-    every growth invalidates the BVH topology and forces a rebuild.  When the
-    feed is materialised up front (as :func:`repro.bench.experiments.run_streaming`
-    does), the :class:`Tiler` occupancy bound gives the exact number of slots
-    a window — or a spatial shard of it, for ``tiles > 1`` — can ever occupy,
-    so the scene can be pre-sized once and never grow:
-
-    * windowed runs hold at most ``window`` live points plus one in-flight
-      chunk before eviction recycles slots;
-    * unbounded runs hold at most the shard's total occupancy (owned + halo
-      of the largest tile; the whole feed when ``tiles == 1``).
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be a positive integer")
-    bound = Tiler(eps, tiles=tiles).capacity_bound(points)
-    if window is None:
-        return max(1, bound)
-    return max(1, min(int(window) + int(chunk_size), bound + int(chunk_size)))

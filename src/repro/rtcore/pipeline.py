@@ -84,7 +84,9 @@ class ScenePipeline:
         """Build the acceleration structure; returns the simulated build time.
 
         The device memory tracker is charged for the BVH and the primitive
-        buffers, reproducing the footprint the OptiX builder would allocate.
+        buffers, reproducing the footprint the OptiX builder would allocate,
+        under labels unique to this pipeline, so pipelines sharing a device
+        book and free their memory independently.
         """
         bounds = self.geometry.bounds()
         if self.builder == "lbvh":
@@ -93,12 +95,12 @@ class ScenePipeline:
             self.bvh = build_sah(bounds, leaf_size=self.leaf_size)
         else:
             raise ValueError(f"unknown builder {self.builder!r}")
-        self.device.memory.allocate("accel_structure", self.bvh.memory_bytes())
+        self.device.memory.allocate(f"accel_structure_{id(self)}", self.bvh.memory_bytes())
         if isinstance(self.geometry, SphereGeometry):
             prim_bytes = self.geometry.centers.nbytes + self.geometry.radii.nbytes
         else:
             prim_bytes = self.geometry.vertices.nbytes + self.geometry.faces.nbytes
-        self.device.memory.allocate("primitive_buffers", prim_bytes)
+        self.device.memory.allocate(f"primitive_buffers_{id(self)}", prim_bytes)
         self.accel_build_seconds = self.device.accel_build_seconds(self.num_primitives)
         return self.accel_build_seconds
 
@@ -204,6 +206,6 @@ class ScenePipeline:
 
     def release(self) -> None:
         """Free the device allocations owned by this pipeline."""
-        self.device.memory.free("accel_structure")
-        self.device.memory.free("primitive_buffers")
+        self.device.memory.free(f"accel_structure_{id(self)}")
+        self.device.memory.free(f"primitive_buffers_{id(self)}")
         self.bvh = None

@@ -28,10 +28,12 @@ class ServiceConfig:
     Parameters
     ----------
     spec:
-        Clusterer template instantiated once per tenant session.  Must name
-        an algorithm registered with ``supports_partial_fit=True`` (the
-        default is ``streaming-rt-dbscan``); window/policy/etc. travel in
-        ``spec.params``.
+        Clusterer template instantiated once per tenant session.  Must
+        resolve to ``streaming-rt-dbscan`` (any exact ``@backend``);
+        window/policy/etc. travel in ``spec.params``.  Unless the spec sets
+        ``initial_capacity``, each session's slot buffer is sized from the
+        tenant's first chunk with
+        :func:`~repro.streaming.scene.feed_capacity`.
     max_sessions:
         Hard cap on concurrently live sessions.  When a new tenant arrives
         at capacity the manager evicts the least-recently-used *idle*
@@ -56,12 +58,6 @@ class ServiceConfig:
         Cadence of the idle-eviction sweeper task.
     retry_after_s:
         Retry hint attached to ``busy`` responses.
-    presize:
-        Pre-size new sessions with
-        :meth:`~repro.streaming.engine.StreamingRTDBSCAN.for_feed`, using
-        the tenant's first chunk as the extent/density sample, so steady
-        feeds never pay a growth-forced rebuild.  Only applies to the
-        streaming engine; other session algorithms ignore it.
     latency_window:
         Number of recent per-update wall latencies kept per session for the
         p50/p99 stats.
@@ -87,7 +83,6 @@ class ServiceConfig:
     max_batch_points: int = 65536
     sweep_interval_s: float = 0.5
     retry_after_s: float = 0.05
-    presize: bool = True
     latency_window: int = 512
     state_dir: str | None = None
     checkpoint_interval_s: float | None = 30.0
@@ -122,7 +117,6 @@ class ServiceConfig:
             "max_batch_points": self.max_batch_points,
             "sweep_interval_s": self.sweep_interval_s,
             "retry_after_s": self.retry_after_s,
-            "presize": self.presize,
             "latency_window": self.latency_window,
             "state_dir": self.state_dir,
             "checkpoint_interval_s": self.checkpoint_interval_s,

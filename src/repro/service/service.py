@@ -180,13 +180,9 @@ class ClusteringService:
             if session.error is not None:
                 outcome[name] = "failed-session"
                 continue
-            snapshot = getattr(session.engine, "snapshot", None)
-            if snapshot is None:
-                outcome[name] = "unsupported"
-                continue
             t0 = time.perf_counter()
             try:
-                self.store.save(name, snapshot())
+                self.store.save(name, session.engine.snapshot())
             except CheckpointError as exc:
                 logger.warning("checkpoint for tenant %r failed: %s", name, exc)
                 self.metrics.observe_checkpoint_failure()
@@ -325,13 +321,10 @@ class ClusteringService:
         if session.error is not None:
             return self._session_failed(request, session)
         result = session.engine.result()
-        # Streaming-capable algorithms other than the RT-DBSCAN engine may
-        # not export window arrivals; degrade to null rather than KeyError.
-        arrivals = result.extra.get("window_arrivals") if result.extra else None
         body = {
             "labels": result.labels.tolist(),
             "core_mask": result.core_mask.tolist(),
-            "window_arrivals": arrivals.tolist() if arrivals is not None else None,
+            "window_arrivals": result.extra["window_arrivals"].tolist(),
             "num_clusters": int(result.num_clusters),
             "num_noise": int(result.num_noise),
             "window_size": int(result.labels.shape[0]),
@@ -346,14 +339,8 @@ class ClusteringService:
         await session.drain()
         if session.error is not None:
             return self._session_failed(request, session)
-        snapshot = getattr(session.engine, "snapshot", None)
-        if snapshot is None:
-            return self._error(
-                request,
-                f"algorithm {type(session.engine).__name__} does not support snapshot",
-            )
         return Response(status="ok", op="snapshot", tenant=request.tenant,
-                        body=snapshot(), request_id=request.request_id)
+                        body=session.engine.snapshot(), request_id=request.request_id)
 
     async def _op_evict(self, request: Request) -> Response:
         # An explicit evict is a tenant reset: the live session (if any) is

@@ -1,10 +1,11 @@
 """Tenant sessions and the LRU/TTL session pool.
 
-A :class:`Session` owns one streaming engine plus a bounded queue of pending
-chunks; its :meth:`Session.run` coroutine is the *only* place the engine is
-touched, so per-tenant updates are strictly serialised (which is what makes
-service labels bit-identical to a serial ``consume()`` of the same feed)
-while different tenants' workers interleave freely on the event loop.
+A :class:`Session` owns one :class:`~repro.streaming.engine.StreamingRTDBSCAN`
+engine plus a bounded queue of pending chunks; its :meth:`Session.run`
+coroutine is the *only* place the engine is touched, so per-tenant updates
+are strictly serialised (which is what makes service labels bit-identical to
+a serial ``consume()`` of the same feed) while different tenants' workers
+interleave freely on the event loop.
 
 The :class:`SessionManager` is the pool above the sessions: tenant → session
 lookup in LRU order, capacity-cap enforcement (evict the least-recently-used
@@ -17,6 +18,7 @@ engine's idempotent ``release()`` so slot-buffer scenes are reclaimed.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import logging
 import time
 from collections import OrderedDict, deque
@@ -24,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..api.registry import make_streaming_clusterer
+from ..api.registry import make_clusterer
+from ..streaming import StreamingRTDBSCAN, feed_capacity
 from .config import ServiceConfig
 from .faults import FaultInjector
 from .metrics import ServiceMetrics, SessionMetrics
@@ -49,7 +52,7 @@ class Session:
     def __init__(
         self,
         tenant: str,
-        engine,
+        engine: StreamingRTDBSCAN,
         config: ServiceConfig,
         *,
         clock: Callable[[], float] = time.monotonic,
@@ -76,10 +79,9 @@ class Session:
         # arrival numbers the serial per-chunk feed assigns — breaking the
         # bit-identity guarantee.  (A single oversized chunk still passes
         # through untouched; serial consume truncates it identically.)
-        window = getattr(engine, "window", None)
         self._max_batch_points = config.max_batch_points
-        if window is not None:
-            self._max_batch_points = min(self._max_batch_points, int(window))
+        if engine.window is not None:
+            self._max_batch_points = min(self._max_batch_points, int(engine.window))
 
         self._queue: deque[np.ndarray] = deque()
         self._queued_points = 0
@@ -191,7 +193,7 @@ class Session:
                     # path as an organic engine exception; an armed delay
                     # models a slow update (and shows up in the latency ring).
                     self._faults.fire("session.update")
-                self._update(points)
+                self.engine.update(points)
                 wall = time.perf_counter() - t0
                 self.metrics.observe_batch(len(batch), points.shape[0], wall, self._clock())
                 if self._service_metrics is not None:
@@ -220,13 +222,6 @@ class Session:
             # Yield so other sessions' workers interleave between batches.
             await asyncio.sleep(0)
 
-    def _update(self, points: np.ndarray) -> None:
-        update = getattr(self.engine, "update", None)
-        if update is not None:
-            update(points)
-        else:
-            self.engine.partial_fit(points)
-
     async def drain(self) -> None:
         """Wait until every accepted chunk has been folded into the engine."""
         async with self._cond:
@@ -245,9 +240,7 @@ class Session:
         if self.closed:
             return
         self.closed = True
-        release = getattr(self.engine, "release", None)
-        if release is not None:
-            release()
+        self.engine.release()
 
     def stats(self, now: float | None = None) -> dict:
         now = self._clock() if now is None else now
@@ -258,9 +251,7 @@ class Session:
         payload["restored"] = self.restored
         payload["spilled"] = self.spilled
         payload["spill_error"] = self.spill_error
-        summary = getattr(self.engine, "summary", None)
-        if summary is not None:
-            payload["engine"] = summary()
+        payload["engine"] = self.engine.summary()
         return payload
 
 
@@ -284,14 +275,12 @@ class SessionManager:
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         # Fail fast on a batch-only template (instead of at first ingest):
         # resolve() also validates backend/knob consistency.
-        entry, backend = config.spec.resolve()
-        if not entry.supports_partial_fit:
+        entry, _ = config.spec.resolve()
+        if entry.name != "streaming-rt-dbscan":
             raise ValueError(
                 f"service spec algorithm {entry.name!r} does not support "
-                "partial_fit; use a streaming-capable algorithm"
+                "partial_fit; tenant sessions run 'streaming-rt-dbscan'"
             )
-        self._engine_entry = entry
-        self._engine_backend = backend
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -311,38 +300,18 @@ class SessionManager:
         return session
 
     # ------------------------------------------------------------------ #
-    def _build_engine(self, first_chunk: np.ndarray | None):
+    def _build_engine(self, first_chunk: np.ndarray | None) -> StreamingRTDBSCAN:
         spec = self.config.spec
-        if (
-            self.config.presize
-            and first_chunk is not None
-            and self._engine_entry.name == "streaming-rt-dbscan"
-        ):
-            from ..streaming.engine import StreamingRTDBSCAN
-
-            # The first chunk stands in for the feed's extent/density sample;
-            # for_feed sizes the slot buffer from the tiler occupancy bound so
-            # a steady feed never pays a growth-forced rebuild.  A feed that
-            # outgrows the estimate just falls back to geometric growth.
-            params = dict(spec.params)
-            if self._engine_backend is not None:
-                # The spec's neighbour backend (including the "algo@backend"
-                # spelling) must survive the presize shortcut, which bypasses
-                # the registry factory that would normally plumb it through.
-                params.setdefault("backend", self._engine_backend)
-            if spec.native is not None:
-                params.setdefault("native", spec.native)
-            if spec.native_threads is not None:
-                params.setdefault("native_threads", spec.native_threads)
-            return StreamingRTDBSCAN.for_feed(
-                first_chunk,
-                spec.eps,
-                spec.min_pts,
-                window=params.pop("window", None),
-                chunk_size=max(1, first_chunk.shape[0]),
-                **params,
+        if first_chunk is not None:
+            # The first chunk stands in for the feed: room for a window plus
+            # one chunk that size keeps a steady feed from paying a
+            # growth-forced rebuild.  A capacity the spec sets wins.
+            rows = int(first_chunk.shape[0])
+            capacity = feed_capacity(rows, spec.params.get("window"), rows)
+            spec = dataclasses.replace(
+                spec, params={"initial_capacity": capacity, **spec.params}
             )
-        return make_streaming_clusterer(spec)
+        return make_clusterer(spec)
 
     def get_or_create(
         self, tenant: str, *, first_chunk: np.ndarray | None = None
@@ -389,13 +358,11 @@ class SessionManager:
         tenant as fresh.  May raise :class:`CapacityError` exactly like a
         fresh create.
         """
-        if self.store is None or self._engine_entry.name != "streaming-rt-dbscan":
+        if self.store is None:
             return None
         path = self.store.path_for(tenant)
         if not path.exists():
             return None
-        from ..streaming.engine import StreamingRTDBSCAN
-
         t0 = time.perf_counter()
         try:
             record = self.store.load(tenant)
@@ -447,14 +414,11 @@ class SessionManager:
 
     def _spill(self, session: Session) -> tuple[bool, str | None]:
         """Checkpoint one session's window; returns (spilled, error)."""
-        snapshot = getattr(session.engine, "snapshot", None)
-        if snapshot is None:
-            return False, "engine does not support snapshot"
         if session.error is not None:
             return False, f"session failed ({session.error}); window not trusted"
         t0 = time.perf_counter()
         try:
-            self.store.save(session.tenant, snapshot())
+            self.store.save(session.tenant, session.engine.snapshot())
         except CheckpointError as exc:
             logger.warning("spill for tenant %r failed: %s; window dropped",
                            session.tenant, exc)

@@ -6,10 +6,11 @@ where points arrive continuously.  This subsystem maintains the ε-sphere
 scene incrementally instead of rebuilding it per batch:
 
 * :class:`StreamingScene` keeps the spheres in a slot buffer sized above the
-  live window; appends fill free slots, evictions park slots out of the data
-  extent, and the acceleration structure is *refit* (an OptiX accel update,
-  priced by the device cost model) unless churn or capacity growth makes a
-  full rebuild pay off;
+  live window (:func:`feed_capacity` sizes it for a known feed; it doubles
+  when it fills); appends fill free slots, evictions park slots out of the
+  data extent, and the acceleration structure is *refit* (an OptiX accel
+  update, priced by the device cost model) unless churn or capacity growth
+  makes a full rebuild pay off;
 * :class:`RefitPolicy` is that refit-vs-rebuild decision, driven by
   :class:`repro.perf.cost_model.DeviceCostModel`;
 * :class:`StreamingRTDBSCAN` layers incremental DBSCAN label maintenance on
@@ -24,6 +25,6 @@ identical to batch :func:`repro.dbscan.rt_dbscan` on the same points.
 
 from .engine import StreamingRTDBSCAN, StreamUpdate
 from .policy import RefitPolicy
-from .scene import StreamingScene
+from .scene import StreamingScene, feed_capacity
 
-__all__ = ["StreamingRTDBSCAN", "StreamUpdate", "RefitPolicy", "StreamingScene"]
+__all__ = ["StreamingRTDBSCAN", "StreamUpdate", "RefitPolicy", "StreamingScene", "feed_capacity"]

@@ -130,7 +130,6 @@ class StreamUpdate:
     "streaming-rt-dbscan",
     description="Incremental RT-DBSCAN over a point stream (sliding window, refit-aware).",
     supports_backend=True,
-    supports_partial_fit=True,
     supports_native=True,
 )
 class StreamingRTDBSCAN(ClustererMixin):
@@ -156,7 +155,9 @@ class StreamingRTDBSCAN(ClustererMixin):
         queries through :class:`~repro.streaming.scene.HostStreamingScene`
         with bit-identical labels.  Approximate backends are refused.
     builder, leaf_size, chunk_size, initial_capacity:
-        Scene parameters forwarded to :class:`StreamingScene`.
+        Scene parameters forwarded to :class:`StreamingScene`; a caller that
+        knows its feed sizes ``initial_capacity`` with
+        :func:`~repro.streaming.scene.feed_capacity`.
     native:
         Kernel-tier override applied to every :meth:`update`: ``True``
         forces the compiled C kernels, ``False`` forces pure numpy,
@@ -255,39 +256,6 @@ class StreamingRTDBSCAN(ClustererMixin):
         #: :meth:`restore`); surfaced in results so serving stats can tell a
         #: warm-restored session from a fresh one.
         self.restored = False
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_feed(
-        cls,
-        sample_points: np.ndarray,
-        eps: float,
-        min_pts: int,
-        *,
-        window: int | None = None,
-        chunk_size: int,
-        **kwargs,
-    ) -> "StreamingRTDBSCAN":
-        """An engine pre-sized for a feed whose extent is known up front.
-
-        Uses the partition layer's
-        :func:`~repro.partition.tiler.plan_stream_capacity` occupancy bound
-        to size the scene's slot buffer to everything the window can ever
-        hold — so the slot buffer never grows, and the engine never pays a
-        growth-forced rebuild.  ``sample_points`` must cover the feed this
-        engine will actually ingest (for a sharded deployment, build one
-        engine per shard and pass that shard's points); all other keyword
-        arguments are forwarded to the constructor.
-        """
-        from ..partition.tiler import plan_stream_capacity
-
-        capacity = plan_stream_capacity(
-            sample_points, eps, window=window, chunk_size=chunk_size
-        )
-        return cls(
-            eps, min_pts, window=window,
-            initial_capacity=max(256, capacity), **kwargs,
-        )
 
     # ------------------------------------------------------------------ #
     @property

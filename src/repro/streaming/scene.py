@@ -16,8 +16,10 @@ above the live window:
   *rebuild* (new LBVH/SAH tree over the slot buffer), as decided by the
   :class:`~repro.streaming.policy.RefitPolicy`.
 
-Capacity grows geometrically when the buffer fills; growth invalidates the
-tree topology and therefore forces a rebuild.  All query launches run
+The buffer starts at ``initial_capacity`` slots and doubles when it fills;
+growth invalidates the tree topology and therefore forces a rebuild, which
+is why a caller that knows its feed sizes the buffer up front with
+:func:`feed_capacity`.  All query launches run
 through the regular :class:`~repro.rtcore.pipeline.ScenePipeline`, so node
 visits, intersection-program calls and kernel launches are charged to the
 device exactly as in the batch path.
@@ -37,7 +39,20 @@ from ..rtcore.pipeline import ScenePipeline
 from ..rtcore.programs import SphereProgram
 from .policy import RefitPolicy
 
-__all__ = ["StreamingScene", "HostStreamingScene"]
+__all__ = ["StreamingScene", "HostStreamingScene", "feed_capacity"]
+
+
+def feed_capacity(rows: int, window: int | None, chunk_size: int) -> int:
+    """Slot-buffer size for a feed of ``rows`` points in ``chunk_size`` chunks.
+
+    Eviction runs before insertion, so a window holds at most ``window``
+    live slots; one in-flight chunk of headroom on top keeps a steady feed
+    from ever paying a growth-forced rebuild.  An unbounded window holds the
+    whole feed.  Never below the scene's default of 256 slots.
+    """
+    if window is None:
+        return max(256, rows)
+    return max(256, min(window, rows) + chunk_size)
 
 
 class StreamingScene:
@@ -52,9 +67,7 @@ class StreamingScene:
     builder, leaf_size, chunk_size:
         Acceleration-structure and launch parameters, as in the batch path.
     initial_capacity:
-        Starting size of the slot buffer.
-    growth_factor:
-        Capacity multiplier when the buffer fills.
+        Starting size of the slot buffer; it doubles whenever it fills.
     """
 
     def __init__(
@@ -66,20 +79,16 @@ class StreamingScene:
         leaf_size: int = 4,
         chunk_size: int = 16384,
         initial_capacity: int = 256,
-        growth_factor: float = 2.0,
     ) -> None:
         if eps <= 0 or not np.isfinite(eps):
             raise ValueError("eps must be a positive finite number")
         if initial_capacity < 1:
             raise ValueError("initial_capacity must be positive")
-        if growth_factor <= 1.0:
-            raise ValueError("growth_factor must be > 1")
         self.eps = float(eps)
         self.device = device or RTDevice()
         self.builder = builder
         self.leaf_size = leaf_size
         self.chunk_size = chunk_size
-        self.growth_factor = float(growth_factor)
 
         self.capacity = int(initial_capacity)
         self.centers = np.zeros((self.capacity, 3), dtype=np.float64)
@@ -112,7 +121,7 @@ class StreamingScene:
 
     # ------------------------------------------------------------------ #
     def _grow(self, needed: int) -> None:
-        new_cap = max(int(np.ceil(self.capacity * self.growth_factor)), needed)
+        new_cap = max(2 * self.capacity, needed)
         pad = new_cap - self.capacity
         self.centers = np.vstack([self.centers, np.zeros((pad, 3))])
         self.radii = np.concatenate([self.radii, np.zeros(pad)])
@@ -326,7 +335,6 @@ class HostStreamingScene(StreamingScene):
         leaf_size: int = 4,
         chunk_size: int = 16384,
         initial_capacity: int = 256,
-        growth_factor: float = 2.0,
     ) -> None:
         super().__init__(
             eps,
@@ -334,7 +342,6 @@ class HostStreamingScene(StreamingScene):
             leaf_size=leaf_size,
             chunk_size=chunk_size,
             initial_capacity=initial_capacity,
-            growth_factor=growth_factor,
         )
         self.backend_name = backend
         self._backend = None

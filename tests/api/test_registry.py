@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.api import registry as reg
 from repro.api import ClustererSpec, make_clusterer
-from repro.api.protocol import Clusterer, ClustererMixin, StreamingClusterer
+from repro.api.protocol import Clusterer, ClustererMixin
 from repro.api.registry import (
     get_algorithm,
     get_backend,
@@ -42,7 +42,7 @@ class TestRegistryContents:
 
     def test_entries_carry_capabilities(self):
         assert get_algorithm("rt-dbscan").supports_backend
-        assert get_algorithm("streaming-rt-dbscan").supports_partial_fit
+        assert get_algorithm("streaming-rt-dbscan").supports_backend
         assert not get_algorithm("classic").instrumented
 
 
@@ -158,9 +158,8 @@ class TestProtocols:
             entry = get_algorithm(name)
             clusterer = entry.factory(eps=0.5, min_pts=5, device=None)
             assert isinstance(clusterer, Clusterer), name
-            if entry.supports_partial_fit:
-                assert isinstance(clusterer, StreamingClusterer), name
 
-    def test_streaming_engine_is_streaming_clusterer(self):
+    def test_streaming_engine_is_a_clusterer_with_partial_fit(self):
         engine = repro.StreamingRTDBSCAN(eps=0.5, min_pts=5)
-        assert isinstance(engine, StreamingClusterer)
+        assert isinstance(engine, Clusterer)
+        assert engine.partial_fit(np.zeros((3, 2))) is engine

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.registry import list_algorithms, resolve_algorithm
 from repro.bench.experiments import EXPERIMENTS, get_experiment, list_experiments, run_experiment
 from repro.bench.report import (
     format_breakdown,
@@ -14,7 +15,7 @@ from repro.bench.report import (
     format_speedup_table,
     format_time_table,
 )
-from repro.bench.runner import ALGORITHMS, RunRecord, run_single, run_sweep, speedup_series
+from repro.bench.runner import RunRecord, run_single, run_sweep, speedup_series
 from repro.cli import build_parser, main
 from repro.data.synthetic import make_blobs
 
@@ -58,7 +59,7 @@ class TestRunner:
         assert {r.algorithm for r in records} == {"rt-dbscan", "fdbscan"}
 
     def test_all_registered_algorithms_run(self, small_blobs):
-        for name in ALGORITHMS:
+        for name in list_algorithms():
             rec = run_single(name, small_blobs, 0.4, 5)
             assert rec.status == "ok", name
 
@@ -91,7 +92,7 @@ class TestExperimentRegistry:
     def test_specs_reference_known_algorithms(self):
         for spec in EXPERIMENTS.values():
             for algo in spec.algorithms:
-                assert algo in ALGORITHMS, (spec.id, algo)
+                resolve_algorithm(algo)  # raises for an unknown name
             assert spec.baseline in spec.algorithms
 
     def test_specs_have_paper_metadata(self):

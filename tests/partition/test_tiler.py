@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.transforms import lift_to_3d
-from repro.partition.tiler import Tiler, plan_stream_capacity
+from repro.partition.tiler import Tiler
 
 
 class TestTilerValidation:
@@ -108,41 +108,11 @@ class TestSplit:
         assert np.array_equal(np.sort(owned), np.arange(blob_points.shape[0]))
         assert all(t.grid_pos[2] == 0 for t in split)
 
+    def test_single_tile_owns_every_point(self, blob_points):
+        (tile,) = Tiler(0.3, tiles=1).split(blob_points)
+        assert np.array_equal(tile.owned, np.arange(blob_points.shape[0]))
+        assert tile.num_halo == 0
+
     def test_summary_fields(self, blob_points):
         s = Tiler(0.3, tiles=4).split(blob_points)[0].summary()
         assert {"tile_id", "grid_pos", "num_owned", "num_halo"} <= set(s)
-
-
-class TestCapacity:
-    def test_occupancy_and_bound(self, blob_points):
-        tiler = Tiler(0.3, tiles=4)
-        occ = tiler.occupancy(blob_points)
-        assert occ.sum() >= blob_points.shape[0]  # halos double-count
-        assert tiler.capacity_bound(blob_points) == occ.max()
-
-    def test_single_tile_bound_is_n(self, blob_points):
-        assert Tiler(0.3, tiles=1).capacity_bound(blob_points) == blob_points.shape[0]
-
-
-class TestPlanStreamCapacity:
-    def test_unbounded_window_pre_sizes_to_the_feed(self, blob_points):
-        cap = plan_stream_capacity(blob_points, 0.3, window=None, chunk_size=50)
-        assert cap == blob_points.shape[0]
-
-    def test_windowed_run_is_bounded_by_window_plus_chunk(self, blob_points):
-        cap = plan_stream_capacity(blob_points, 0.3, window=100, chunk_size=50)
-        assert cap == 150
-
-    def test_small_feed_tightens_the_window_bound(self, blob_points):
-        n = blob_points.shape[0]
-        cap = plan_stream_capacity(blob_points, 0.3, window=10 * n, chunk_size=50)
-        assert cap == n + 50
-
-    def test_sharded_bound_uses_the_largest_tile(self, blob_points):
-        whole = plan_stream_capacity(blob_points, 0.3, window=None, chunk_size=50)
-        shard = plan_stream_capacity(blob_points, 0.3, window=None, chunk_size=50, tiles=4)
-        assert shard < whole
-
-    def test_chunk_size_validated(self, blob_points):
-        with pytest.raises(ValueError):
-            plan_stream_capacity(blob_points, 0.3, window=None, chunk_size=0)

@@ -71,6 +71,20 @@ class TestScenePipeline:
         pipe.release()
         assert dev.memory.used_bytes == 0
 
+    def test_pipelines_sharing_a_device_book_memory_apart(self):
+        dev = RTDevice()
+        first = ScenePipeline(device=dev, geometry=_sphere_scene(1000)[1])
+        second = ScenePipeline(device=dev, geometry=_sphere_scene(500, seed=1)[1])
+        first.build_accel()
+        first_bytes = dev.memory.used_bytes
+        second.build_accel()
+        second_bytes = dev.memory.used_bytes - first_bytes
+        assert first_bytes > second_bytes > 0
+        first.release()
+        assert dev.memory.used_bytes == second_bytes
+        second.release()
+        assert dev.memory.used_bytes == 0
+
     def test_launch_before_build_raises(self):
         centers, geom = _sphere_scene()
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)

@@ -273,45 +273,6 @@ class TestFailureContainment:
         assert len(calls) >= 3  # kept firing after the failure
         assert alive
 
-    def test_reads_degrade_gracefully_without_engine_extras(self, run, make_config):
-        """A streaming-capable engine without window_arrivals/snapshot gets
-        null arrivals and a clean snapshot error, not KeyError/AttributeError."""
-        from types import SimpleNamespace
-
-        class MinimalEngine:
-            def update(self, points):
-                self.n = int(points.shape[0])
-
-            def result(self):
-                n = getattr(self, "n", 0)
-                return SimpleNamespace(
-                    labels=np.zeros(n, dtype=np.int64),
-                    core_mask=np.zeros(n, dtype=bool),
-                    extra={},
-                    num_clusters=0,
-                    num_noise=n,
-                )
-
-            def release(self):
-                pass
-
-        async def scenario():
-            async with ClusteringService(make_config()) as service:
-                await service.submit(Request.ingest("t", chunks_for(1)[0]))
-                session = service.sessions.get("t", touch=False)
-                await session.drain()
-                session.engine = MinimalEngine()
-                await service.submit(Request.ingest("t", chunks_for(1)[0]))
-                labels = await service.submit(Request.query_labels("t"))
-                snap = await service.submit(Request.snapshot("t"))
-                return labels, snap
-
-        labels, snap = run(scenario())
-        assert labels.ok
-        assert labels.body["window_arrivals"] is None
-        assert labels.body["window_size"] == 40
-        assert not snap.ok and "does not support snapshot" in snap.error
-
 
 class TestOps:
     def test_unknown_tenant_query_is_an_error(self, run, make_config):

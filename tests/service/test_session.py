@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import ClustererSpec
 from repro.data.stream import make_stream
+from repro.service import ClusteringService, Request
 from repro.service.session import CapacityError, SessionError, SessionManager
 from repro.streaming import StreamingRTDBSCAN
 
@@ -195,19 +196,36 @@ class TestSessionManager:
                 spec=ClustererSpec(algo="rt-dbscan", eps=0.3, min_pts=5)
             ))
 
-    def test_presize_uses_for_feed_capacity(self, run, make_config):
+    def test_first_chunk_sizes_the_slot_buffer(self, run, make_config):
         manager = SessionManager(make_config())
         chunk = chunks_for(1, size=400)[0]
         session, _ = manager.get_or_create("a", first_chunk=chunk)
-        # for_feed sizes the slot buffer for window + one in-flight chunk;
-        # without pre-sizing the default initial capacity is 256.
-        assert session.engine.scene.capacity >= 400
+        # The window (300) plus one in-flight chunk of the first chunk's size.
+        assert session.engine.scene.capacity == 700
 
-    def test_presize_disabled_uses_spec_factory(self, run, make_config):
-        manager = SessionManager(make_config(presize=False))
-        chunk = chunks_for(1, size=400)[0]
-        session, _ = manager.get_or_create("a", first_chunk=chunk)
-        assert session.engine.scene.capacity == 256
+    def test_spec_engine_params_reach_the_engine(self, run, make_config):
+        spec = ClustererSpec(
+            algo="streaming-rt-dbscan@kdtree", eps=0.4, min_pts=5,
+            native=False, native_threads=1,
+            params={"window": 300, "initial_capacity": 512, "chunk_size": 4096},
+        )
+
+        async def scenario():
+            async with ClusteringService(make_config(spec=spec)) as service:
+                ack = await service.submit(Request.ingest("a", chunks_for(1)[0]))
+                labels = await service.submit(Request.query_labels("a"))
+                return ack, labels, service.sessions.get("a")
+
+        ack, labels, session = run(scenario())
+        assert ack.ok, ack.error
+        assert labels.ok and labels.body["window_size"] == 40
+        engine = session.engine
+        assert engine.backend == "kdtree"
+        assert engine.native is False
+        assert engine.native_threads == 1
+        assert engine.window == 300
+        assert engine.scene.capacity == 512
+        assert engine.scene.chunk_size == 4096
 
     def test_lru_capacity_eviction_prefers_idle_lru(self, run, make_config, fake_clock):
         manager = SessionManager(make_config(max_sessions=2), clock=fake_clock)

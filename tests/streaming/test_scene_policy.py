@@ -10,7 +10,7 @@ from repro.geometry.sphere import SphereGeometry
 from repro.perf.cost_model import DEFAULT_COST_MODEL, OpCounts
 from repro.rtcore.device import RTDevice
 from repro.rtcore.pipeline import ScenePipeline
-from repro.streaming import RefitPolicy, StreamingScene
+from repro.streaming import RefitPolicy, StreamingScene, feed_capacity
 from repro.streaming.scene import HostStreamingScene
 
 
@@ -148,6 +148,15 @@ class TestStreamingScene:
         assert action == "rebuild"  # growth invalidates the topology
         assert counts.bvh_build_prims == scene.capacity
 
+    def test_full_buffer_doubles_unless_the_chunk_needs_more(self):
+        scene = self._scene()
+        scene.add(np.zeros((17, 3)))
+        assert scene.capacity == 32
+        scene.add(np.zeros((125, 3)))  # 142 slots needed, more than 2 x 32
+        assert scene.capacity == 142
+        scene.add(np.zeros((1, 3)))
+        assert scene.capacity == 284
+
     def test_parked_slots_never_hit(self):
         scene = self._scene()
         pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.6, 0.0, 0.0]])
@@ -190,8 +199,24 @@ class TestStreamingScene:
             StreamingScene(0.0)
         with pytest.raises(ValueError):
             StreamingScene(0.5, initial_capacity=0)
-        with pytest.raises(ValueError):
-            StreamingScene(0.5, growth_factor=1.0)
+
+
+class TestFeedCapacity:
+    @pytest.mark.parametrize(
+        "rows, window, chunk, expected",
+        [
+            (5000, None, 100, 5000),  # unbounded: the whole feed
+            (5000, 1000, 100, 1100),  # the window plus one chunk
+            (700, 1000, 100, 800),  # a feed shorter than its window
+            (40, None, 40, 256),  # never below the scene's default capacity
+            (40, 100, 40, 256),
+        ],
+    )
+    def test_sizing_rule(self, rows, window, chunk, expected):
+        assert feed_capacity(rows, window, chunk) == expected
+
+    def test_floor_is_the_scene_default(self):
+        assert feed_capacity(1, None, 1) == StreamingScene(0.5).capacity
 
 
 class TestDisjointSetGrow:

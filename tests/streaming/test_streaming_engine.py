@@ -11,7 +11,7 @@ from repro.data.synthetic import make_blobs
 from repro.dbscan.rt_dbscan import rt_dbscan
 from repro.metrics.agreement import compare_results
 from repro.metrics.ari import adjusted_rand_index
-from repro.streaming import RefitPolicy, StreamingRTDBSCAN
+from repro.streaming import RefitPolicy, StreamingRTDBSCAN, feed_capacity
 
 
 def _blobs(n: int, seed: int, centers: int = 5, std: float = 0.2):
@@ -202,15 +202,16 @@ class TestMaintenancePolicy:
         assert second.accel_action == "rebuild"
         assert engine.scene.capacity >= 360
 
-    def test_for_feed_pre_sizes_the_slot_buffer(self):
-        """for_feed sizes the scene from the tiler occupancy bound: the slot
-        buffer never grows, so only the first commit is a build."""
+    def test_feed_capacity_pre_sizes_the_slot_buffer(self):
+        """A buffer sized by feed_capacity never grows, so only the first
+        commit is a build."""
         feed = _blobs(900, seed=3)
         chunks = [feed[lo : lo + 300] for lo in range(0, 900, 300)]
-        engine = StreamingRTDBSCAN.for_feed(
-            feed, 0.3, 5, chunk_size=300, policy=RefitPolicy(mode="refit")
+        engine = StreamingRTDBSCAN(
+            0.3, 5, initial_capacity=feed_capacity(900, None, 300),
+            policy=RefitPolicy(mode="refit"),
         )
-        assert engine.scene.capacity >= 900
+        assert engine.scene.capacity == 900
         for chunk in chunks:
             engine.update(chunk)
         assert engine.scene.num_builds == 1
@@ -223,17 +224,22 @@ class TestMaintenancePolicy:
             engine.result().labels, plain.result().labels
         )
 
-    def test_for_feed_capacity_always_covers_the_feed(self):
-        """The pre-sized buffer must hold the whole feed the engine ingests
-        (the planner's shard bound is per-shard-engine, not for this one)."""
-        feed = _blobs(600, seed=9)
-        engine = StreamingRTDBSCAN.for_feed(
-            feed, 0.3, 5, chunk_size=200, policy=RefitPolicy(mode="refit")
-        )
-        for lo in range(0, 600, 200):
-            engine.update(feed[lo : lo + 200])
-        assert engine.scene.capacity >= 600
-        assert engine.scene.num_builds == 1
+    def test_window_never_holds_more_slots_than_the_window(self):
+        """Eviction runs before insertion, so for any chunk size from 1 to
+        twice the window the slot high-water mark stays within the window:
+        a buffer of exactly ``window`` slots never grows."""
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            window = int(rng.integers(5, 60))
+            sizes = rng.integers(1, 2 * window + 1, size=int(rng.integers(2, 8)))
+            feed = rng.uniform(0.0, 2.0, size=(int(sizes.sum()), 2))
+            engine = StreamingRTDBSCAN(0.3, 3, window=window, initial_capacity=window)
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                engine.update(feed[lo:hi])
+                assert engine.scene._high_water <= window
+            assert engine.scene._high_water == min(window, feed.shape[0])
+            assert engine.scene.capacity == window
 
 
 class TestLifecycle:

@@ -137,7 +137,7 @@ class TestStreamCommand:
         assert payload["summary"]["points_ingested"] == 180
 
     def test_unbounded_window_never_grows_the_scene(self, capsys):
-        """plan_stream_capacity pre-sizes the slot buffer: exactly one build."""
+        """feed_capacity pre-sizes the slot buffer: exactly one build."""
         args = ["stream", "--stream", "drift-blobs", "--chunks", "4",
                 "--chunk-size", "80", "--min-pts", "5", "--mode", "refit", "--json"]
         assert main(args) == 0
