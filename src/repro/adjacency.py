@@ -27,6 +27,7 @@ __all__ = [
     "csr_row_ids",
     "expand_ranges",
     "concat_csr",
+    "point_rows",
 ]
 
 
@@ -88,3 +89,20 @@ def concat_csr(
         + [np.asarray([offsets[-1]], dtype=np.int64)]
     )
     return merged_ptr, np.concatenate(indexes)
+
+
+def point_rows(rows, num_points: int) -> np.ndarray:
+    """Validated int64 dataset point ids of a row-selected CSR (any order).
+
+    A backend's ``neighbor_csr(rows=...)`` fills row ``i`` with the
+    neighbours of point ``rows[i]``; the ids are range-checked here because
+    they index the dataset and serve as the launch's self map.
+    """
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError("rows must be a 1-D array of integer point ids")
+    if rows.min() < 0 or rows.max() >= num_points:
+        raise ValueError(f"rows must be point ids in [0, {num_points})")
+    return np.ascontiguousarray(rows, dtype=np.int64)

@@ -12,7 +12,11 @@ substrate — produces bit-identical labels to a fresh fit.
 (see :mod:`repro.adjacency`) **directly**, walking the rows in bounded chunks
 and expanding only the edges the forest actually needs (core–core union
 edges and border attachments) — the flat ``(q, p)`` pair arrays are never
-materialised.
+materialised.  Only core rows expand anything, so stage 2 hands it just
+those: RT-DBSCAN, the tile workers and ``refit`` fill the core points' rows
+with ``neighbor_csr(rows=core_ids, ...)`` and pass ``rows=core_ids`` here.
+The paper's stage 2 relaunches every query; the simulated device is still
+charged that full launch, by the callers.
 
 The result is a deterministic function of the pair *multiset* and the core
 mask — the batched min-hooking union is order-independent, border attachment
@@ -72,9 +76,10 @@ def form_clusters_csr(
     core_mask:
         ``(n,)`` boolean core flags over the *global* point ids.
     rows:
-        Optional global point id of each CSR row — the segmented form the
-        tiled partition merge hands over (each shard contributes the rows it
-        owns, in any order).  ``None`` means row ``i`` is point ``i``.
+        Optional global point id of each CSR row — the segmented form stage
+        2 hands over (the core rows alone; the tiled merge concatenates each
+        shard's, in any order).  ``None`` means row ``i`` is point ``i``.
+        Rows absent from the CSR count as empty.
 
     Memory note: the core–core edge list *is* materialised here — it is the
     required input of the single batched ``union_edges`` call (splitting the

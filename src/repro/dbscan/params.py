@@ -71,7 +71,8 @@ class DBSCANResult:
         relabel with a different ``min_pts`` while skipping stage 1, per
         Section VI-B).
     points:
-        Optional copy of the clustered points (lifted to 3D), kept alongside
+        Optional clustered points as validated (float64, 2 or 3 columns;
+        float64 input is shared, not copied), kept alongside
         ``neighbor_counts`` so :meth:`refit` can recompute stage 2.
     """
 
@@ -117,10 +118,12 @@ class DBSCANResult:
         This is the Section VI-B shortcut: the stored per-point neighbour
         counts already determine the new core set, so only cluster formation
         (stage 2) runs again — no second core-identification launch.  The
-        ε-adjacency is recomputed host-side with the KD-tree backend as a
-        CSR launch and consumed directly by the same union–find formation
-        pass every backend uses (no pair arrays are materialised), so the
-        result is bit-identical to a fresh ``RTDBSCAN(eps, min_pts).fit``.
+        new core points' rows of the ε-adjacency are recomputed host-side
+        with the KD-tree backend, sized by the stored counts, and consumed
+        directly by the same union–find formation pass every backend uses
+        (no pair arrays are materialised), so the result is bit-identical to
+        a fresh ``RTDBSCAN(eps, min_pts).fit``.  Counts from an approximate
+        backend are not the exact rows' lengths, so they size nothing.
 
         Requires ``neighbor_counts`` and ``points`` (kept by default via
         ``keep_neighbor_counts=True``).
@@ -135,15 +138,21 @@ class DBSCANResult:
         params = DBSCANParams(eps=self.params.eps, min_pts=min_pts)
         core_mask = self.neighbor_counts >= params.min_pts
 
+        from ..api.registry import get_backend
         from ..neighbors.backend import KDTreeNeighborBackend
         from .formation import form_clusters_csr
 
+        source = self.extra.get("backend")
+        exact = source is None or get_backend(source).exact
+        core_ids = np.flatnonzero(core_mask)
         backend = KDTreeNeighborBackend(self.points, params.eps)
         try:
-            indptr, indices, _ = backend.neighbor_csr()
+            indptr, indices, _ = backend.neighbor_csr(
+                rows=core_ids, row_counts=self.neighbor_counts[core_ids] if exact else None
+            )
         finally:
             backend.release()
-        formation = form_clusters_csr(indptr, indices, core_mask)
+        formation = form_clusters_csr(indptr, indices, core_mask, rows=core_ids)
         return DBSCANResult(
             labels=formation.labels,
             core_mask=core_mask,
@@ -152,7 +161,10 @@ class DBSCANResult:
             report=None,
             neighbor_counts=self.neighbor_counts,
             points=self.points,
-            extra={"refit_from_min_pts": self.params.min_pts},
+            extra={
+                "refit_from_min_pts": self.params.min_pts,
+                **({"backend": source} if source else {}),
+            },
         )
 
     def summary(self) -> dict:

@@ -13,6 +13,15 @@ the simulated RT device):
    are unioned, border points are attached atomically to one neighbouring
    core cluster (see :mod:`repro.dbscan.formation`).
 
+Only the core rows of stage 2 are read, so the host fills only those: the
+backend's ``neighbor_csr(rows=core_ids, row_counts=...)`` sizes them from the
+stage-1 counts, and a sphere launch then runs one fill pass over the core
+points.  The simulated device is still charged the paper's full relaunch,
+as the stage-1 launch's counts a second time (a count launch and a CSR
+launch charge identical operations), so phase counts and simulated seconds
+match a full second pass exactly.  Triangle mode keeps its deduplicated
+stage-1 adjacency and launches once.
+
 The neighbour search is resolved from the backend registry
 (:mod:`repro.neighbors.backend`): ``backend="rt"`` is the paper's RT-core
 pipeline, while ``"grid"``, ``"kdtree"`` and ``"brute"`` run the identical
@@ -37,7 +46,7 @@ import numpy as np
 
 from ..api.protocol import ClustererMixin
 from ..api.registry import make_backend, register_algorithm
-from ..geometry.transforms import ensure_points3d
+from ..geometry.transforms import validate_points
 from ..native import dispatch as native_dispatch
 from ..perf.cost_model import OpCounts
 from ..perf.timing import PhaseTimer
@@ -149,8 +158,9 @@ class RTDBSCAN(ClustererMixin):
             return self._fit(points)
 
     def _fit(self, points: np.ndarray) -> DBSCANResult:
-        pts3 = ensure_points3d(points)
-        n = pts3.shape[0]
+        # The backend lifts 2D input to 3D; the result keeps the input itself.
+        points = validate_points(points)
+        n = points.shape[0]
         timer = PhaseTimer("rt-dbscan", self.device.cost_model)
         timer.metadata.update(
             {
@@ -171,7 +181,7 @@ class RTDBSCAN(ClustererMixin):
         with timer.phase("bvh_build") as counts:
             finder = make_backend(
                 self.backend,
-                pts3,
+                points,
                 self.params.eps,
                 device=self.device,
                 **self._backend_kwargs(),
@@ -199,17 +209,22 @@ class RTDBSCAN(ClustererMixin):
 
             # ---------------------------------------------------------- #
             # Stage 2 — cluster formation with union-find (lines 7-18).
-            # The adjacency is recomputed as a CSR launch (the redundant
-            # work the paper accepts) and consumed directly — no pair
-            # arrays are materialised (triangle mode already holds its
-            # deduplicated adjacency from stage 1).
+            # The paper relaunches every ε-query here; that launch is
+            # charged as the stage-1 counts again, while the host fills
+            # only the core rows formation reads (triangle mode already
+            # holds its deduplicated adjacency from stage 1).
             # ---------------------------------------------------------- #
             with timer.phase("cluster_formation") as counts:
+                rows = None
                 if not self.triangle_mode:
-                    indptr, indices, stats2 = finder.neighbor_csr()
-                    counts.merge(stats2.counts)
+                    rows = np.flatnonzero(core_mask)
+                    indptr, indices, _ = finder.neighbor_csr(
+                        rows=rows, row_counts=neighbor_counts[rows]
+                    )
+                    counts.merge(stats1.counts)
+                    self.device.charge(stats1.counts)
 
-                formation = form_clusters_csr(indptr, indices, core_mask)
+                formation = form_clusters_csr(indptr, indices, core_mask, rows=rows)
                 counts.union_ops += formation.num_unions
                 counts.atomic_ops += formation.num_atomics
                 self.device.charge(
@@ -231,7 +246,7 @@ class RTDBSCAN(ClustererMixin):
             algorithm="rt-dbscan" if not self.triangle_mode else "rt-dbscan-triangles",
             report=report,
             neighbor_counts=neighbor_counts if self.keep_neighbor_counts else None,
-            points=pts3 if self.keep_neighbor_counts else None,
+            points=points if self.keep_neighbor_counts else None,
             extra={
                 "build_seconds": finder.build_seconds if finder else 0.0,
                 "backend": self.backend,

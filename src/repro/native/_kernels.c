@@ -234,6 +234,10 @@ void repro_brute_block(
 /* ``stack`` is caller-provided scratch of nthreads * 2*(num_nodes+2)      */
 /* int64 — one slab per worker (each node is pushed at most once per       */
 /* query, so num_nodes+2 entries per slab suffice).                        */
+/*                                                                         */
+/* Fill mode writes at most indptr[qi+1] - indptr[qi] ids per row, so an   */
+/* indptr seeded from counts the caller already holds can never write out  */
+/* of bounds; row_counts still reports every hit, for the caller to check. */
 /* ---------------------------------------------------------------------- */
 
 void repro_bvh_sphere(
@@ -272,6 +276,7 @@ void repro_bvh_sphere(
             exclude_self ? qi : (self_map ? self_map[qi] : -1);
         int64_t nhits = 0;
         const int64_t base = indptr ? indptr[qi] : 0;
+        const int64_t cap = indptr ? indptr[qi + 1] - base : 0;
         int64_t top = 1;
         stk[0] = 0; /* root */
         stk[1] = 1; /* 1-based depth */
@@ -299,7 +304,7 @@ void repro_bvh_sphere(
                     if (prim == self_prim)
                         continue;
                     if (dist2_3(cp, centers + 3 * prim) <= r2) {
-                        if (indices)
+                        if (indices && nhits < cap)
                             indices[base + nhits] = prim;
                         ++nhits;
                     }
@@ -315,8 +320,9 @@ void repro_bvh_sphere(
         conf += nhits;
         if (row_counts)
             row_counts[qi] = nhits;
-        if (indices && nhits > 1)
-            qsort(indices + base, (size_t)nhits, sizeof(int64_t), cmp_i64);
+        const int64_t written = nhits < cap ? nhits : cap;
+        if (indices && written > 1)
+            qsort(indices + base, (size_t)written, sizeof(int64_t), cmp_i64);
     }
     if (stats_out) {
         stats_out[0] = nv;

@@ -5,10 +5,16 @@ actually depends on: build an index over the dataset once, then answer
 
 * ``neighbor_counts()`` — ε-neighbour count per point (stage 1), and
 * ``neighbor_csr()``    — the confirmed ε-adjacency in canonical CSR form
-  (stage 2; see :mod:`repro.adjacency`),
+  (see :mod:`repro.adjacency`),
 
 with the dataset's own points as the default queries and self pairs excluded
-(the paper's ``q != s`` filter).  Every backend produces the CSR
+(the paper's ``q != s`` filter).  Stage 2 calls
+``neighbor_csr(rows=core_ids, row_counts=counts[core_ids])``: only the core
+points' rows, which is all cluster formation reads.  Those rows equal the
+matching rows of ``neighbor_csr()`` byte for byte; the sphere launches (rt,
+kdtree) size them from the stage-1 counts and run one fill pass, and the
+fill charges the device nothing, because the caller charges the paper's
+stage-2 relaunch itself.  Every backend produces the CSR
 **chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
 never materialised as an intermediate; peak memory is one block's candidate
 working set plus the adjacency itself.
@@ -31,7 +37,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import expand_ranges
+from ..adjacency import expand_ranges, point_rows
 from ..api.registry import register_backend
 from ..geometry.transforms import ensure_points3d
 from ..native import dispatch as native_dispatch
@@ -69,7 +75,8 @@ class NeighborBackend(Protocol):
     ) -> tuple[np.ndarray, LaunchStats]: ...
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *,
+        rows: np.ndarray | None = None, row_counts: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
 
     def release(self) -> None: ...
@@ -179,9 +186,25 @@ class _HostNeighborBackend:
         return row_counts, stats
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *,
+        rows: np.ndarray | None = None, row_counts: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Confirmed ε-adjacency in canonical CSR form, built block-by-block."""
+        """Confirmed ε-adjacency in canonical CSR form, built block-by-block.
+
+        ``rows`` fills only the rows of those dataset points, uncharged: CSR
+        row ``i`` is point ``rows[i]``, self hit excluded (see
+        :meth:`_fill_rows`).
+        """
+        if rows is not None:
+            if queries is not None:
+                raise ValueError("pass either queries or rows, not both")
+            rows = point_rows(rows, self.num_points)
+            if rows.size == 0:
+                return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
+            indptr, indices = self._fill_rows(rows, row_counts)
+            return indptr, indices, LaunchStats(
+                num_rays=int(rows.size), confirmed_hits=int(indices.size)
+            )
         qpts, self_query = self._resolve_queries(queries)
         row_counts, parts, candidates, node_visits = self._scan(qpts, self_query, collect=True)
         indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
@@ -192,6 +215,24 @@ class _HostNeighborBackend:
             node_visits=node_visits, confirmed=int(indices.size),
         )
         return indptr, indices, stats
+
+    def _fill_rows(
+        self, rows: np.ndarray, row_counts: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR rows of dataset points ``rows``, their own ids dropped.
+
+        ``points[rows]`` are swept as external queries, which find each
+        point itself at distance zero; dropping the id ``rows[i]`` from row
+        ``i`` is the paper's ``q != s`` index filter.  A host sweep has no
+        count pass to skip, so ``row_counts`` go unused.
+        """
+        counts, parts, _, _ = self._scan(self.points[rows], False, collect=True)
+        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        row_of = np.repeat(np.arange(rows.size, dtype=np.intp), counts)
+        keep = indices != rows[row_of]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[keep], minlength=rows.size), out=indptr[1:])
+        return indptr, indices[keep]
 
     def release(self) -> None:
         """Free the simulated device-side index."""
@@ -379,3 +420,14 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
             return counts, None, stats.candidates, stats.node_visits
         indptr, indices, stats = launch_sphere(self.bvh, qpts, program, collect=True)
         return np.diff(indptr), [indices], stats.candidates, stats.node_visits
+
+    def _fill_rows(self, rows, row_counts):
+        """A sphere launch from ``points[rows]`` with ``self_map=rows``.
+
+        Given the rows' counts it runs the native fill pass alone.
+        """
+        program = SphereProgram(self.points, self.radius, self_map=rows)
+        indptr, indices, _ = launch_sphere(
+            self.bvh, self.points[rows], program, collect=True, row_counts=row_counts
+        )
+        return indptr, indices

@@ -11,8 +11,9 @@ and launches the sphere Intersection program
 DBSCAN needs:
 
 * ``neighbor_counts``  — count ε-neighbours per point (stage 1 of Algorithm 3);
-* ``neighbor_csr``     — the confirmed ε-adjacency in canonical CSR form
-  (stage 2), produced chunk-by-chunk so the pair set is never materialised.
+* ``neighbor_csr``     — the confirmed ε-adjacency in canonical CSR form,
+  produced chunk-by-chunk so the pair set is never materialised; stage 2
+  fills only the core points' rows, seeded by their stage-1 counts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..adjacency import point_rows
 from ..api.registry import register_backend
 from ..geometry.sphere import SphereGeometry
 from ..geometry.transforms import ensure_points3d
@@ -125,7 +127,8 @@ class RTNeighborFinder:
         return self.pipeline.launch_count_queries(*self._launch_args(queries))
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *,
+        rows: np.ndarray | None = None, row_counts: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Confirmed ε-adjacency in canonical CSR form (see :mod:`repro.adjacency`).
 
@@ -133,8 +136,28 @@ class RTNeighborFinder:
         chunked traversal and come back as ``(indptr, indices)`` — the full
         candidate pair set never exists in memory.  Self pairs are excluded
         when querying the dataset against itself.
+
+        ``rows`` fills only the rows of those dataset points instead: CSR row
+        ``i`` is point ``rows[i]``, self hit excluded, byte for byte row
+        ``rows[i]`` of ``neighbor_csr()``.  A sphere launch handed their
+        stage-1 counts as ``row_counts`` runs its fill pass alone.  Such a
+        fill charges the device nothing; RT-DBSCAN charges its stage 2 as the
+        stage-1 counts.
         """
-        return self.pipeline.launch_csr_queries(*self._launch_args(queries))
+        if rows is None:
+            return self.pipeline.launch_csr_queries(*self._launch_args(queries))
+        if queries is not None:
+            raise ValueError("pass either queries or rows, not both")
+        rows = point_rows(rows, self.num_points)
+        if rows.size == 0:
+            return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
+        owners = self.pipeline.geometry.owners if self.triangle_mode else None
+        program = SphereProgram(self.points, self.radius, self_map=rows, owners=owners)
+        # Triangle hits outnumber the deduplicated counts, so they seed nothing.
+        return self.pipeline.launch_csr_queries(
+            self.points[rows], program, charge=False,
+            row_counts=None if self.triangle_mode else row_counts,
+        )
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:
         """Per-query neighbour index lists (convenience wrapper for examples)."""

@@ -5,16 +5,17 @@ Each tile of a :class:`~repro.partition.tiled.TiledRTDBSCAN` run produces
 * exact ε-neighbour counts (and hence exact core flags) for its *owned*
   points — exact because the tile's halo contains every point within ε of an
   owned point, and
-* the complete confirmed ε-adjacency of its owned points as a **shard CSR**
-  (``indptr``/``indices``): row ``i`` holds the neighbours of ``owned[i]``,
-  mapped back to global indices.
+* the complete confirmed ε-adjacency of its owned *core* points as a
+  **shard CSR** (``indptr``/``indices``): row ``i`` holds the neighbours of
+  ``owned[core_mask][i]``, mapped back to global indices.
 
 Because ownership is a partition, the shard CSRs concatenate into a
-*segmented* CSR over the whole dataset that reconstructs **exactly** the
-global adjacency an untiled run discovers: a global pair ``(q, p)`` appears
-once, in the row contributed by the unique tile that owns ``q`` (its partner
-``p`` is locally visible there, owned or halo).  Likewise the per-tile core
-flags assemble the exact global core mask.  The merge hands the segmented
+*segmented* CSR that reconstructs **exactly** the core rows of the global
+adjacency an untiled run discovers — the only rows cluster formation reads:
+a global pair ``(q, p)`` with ``q`` core appears once, in the row
+contributed by the unique tile that owns ``q`` (its partner ``p`` is
+locally visible there, owned or halo).  Likewise the per-tile core flags
+assemble the exact global core mask.  The merge hands the segmented
 CSR — rows annotated with their global ids, no per-pair expansion, no
 reshuffling — straight to the same
 :func:`repro.dbscan.formation.form_clusters_csr` stage-2 pass every backend
@@ -24,14 +25,15 @@ pass, border points attach to their lowest-indexed core neighbour, and
 labels are canonicalised to the smallest-member numbering.
 
 **Equivalence argument.**  ``form_clusters_csr`` is a deterministic function
-of the pair *multiset* and the core mask: the batched min-hooking union is
-order-independent (each iteration hooks every still-spanning edge's larger
-root onto the smaller simultaneously), border attachment sorts candidates
-before deduplicating, and the final numbering depends only on cluster
-membership.  Since the tiled run hands it the identical pair multiset and the
-identical core mask as an untiled run, the labels are **bit-identical** —
-not merely equivalent up to renumbering.  The union/atomic operation counts
-charged to the cost model are identical too, for the same reason.
+of the core rows' pair *multiset* and the core mask: the batched min-hooking
+union is order-independent (each iteration hooks every still-spanning edge's
+larger root onto the smaller simultaneously), border attachment sorts
+candidates before deduplicating, and the final numbering depends only on
+cluster membership.  Since the tiled run hands it the identical core-row pair
+multiset and the identical core mask as an untiled run, the labels are
+**bit-identical** — not merely equivalent up to renumbering.  The
+union/atomic operation counts charged to the cost model are identical too,
+for the same reason.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class MergeResult:
     num_unions: int
     #: atomic border attachments performed — for the device cost model.
     num_atomics: int
-    #: confirmed pairs whose endpoints live in different tiles.
+    #: confirmed pairs from a core point to a point owned by another tile:
+    #: the cross-tile edges the merge consumes (non-core rows are not filled).
     num_boundary_pairs: int
 
 
@@ -74,8 +77,9 @@ def merge_tiles(num_points: int, tile_results) -> MergeResult:
     tile_results:
         Iterables with the per-tile fields produced by the tile worker:
         ``owned`` (global indices), ``neighbor_counts`` / ``core_mask``
-        (aligned with ``owned``), ``indptr`` / ``indices`` (the shard CSR
-        with global neighbour ids) and ``num_boundary_pairs``.
+        (aligned with ``owned``), ``indptr`` / ``indices`` (the shard CSR of
+        the owned core points, with global neighbour ids) and
+        ``num_boundary_pairs``.
     """
     core_mask = np.zeros(num_points, dtype=bool)
     neighbor_counts = np.zeros(num_points, dtype=np.int64)
@@ -85,7 +89,7 @@ def merge_tiles(num_points: int, tile_results) -> MergeResult:
     for res in tile_results:
         core_mask[res.owned] = res.core_mask
         neighbor_counts[res.owned] = res.neighbor_counts
-        rows_parts.append(np.asarray(res.owned, dtype=np.intp))
+        rows_parts.append(np.asarray(res.owned, dtype=np.intp)[res.core_mask])
         csr_parts.append((res.indptr, res.indices))
         boundary += int(res.num_boundary_pairs)
 

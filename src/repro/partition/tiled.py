@@ -11,12 +11,15 @@ bit-identical to an untiled run (see the equivalence argument in
 :mod:`repro.partition.merge`).
 
 Per tile, ε-queries are launched **only from owned points**, so the stage-1
-and stage-2 ray totals across tiles equal the untiled run's exactly (one ray
-per dataset point per stage); the candidate work (distance computations,
-node visits) *shrinks*, because each shard's index covers only its local
-working set — that reduction is the tiling speedup.  What tiling adds is a
-fixed per-tile cost (pipeline setup + kernel launches) and the redundant
-indexing of halo points, both visible in the aggregated report.
+ray total across tiles equals the untiled run's exactly (one ray per dataset
+point); the candidate work (distance computations, node visits) *shrinks*,
+because each shard's index covers only its local working set — that
+reduction is the tiling speedup.  Stage 2, as in the untiled pipeline, fills
+only the owned core points' rows (a tile with no core point launches
+nothing) and is charged as the paper's full relaunch: the tile's stage-1
+counts a second time.  What tiling adds is a fixed per-tile cost (pipeline
+setup + kernel launches) and the redundant indexing of halo points, both
+visible in the aggregated report.
 
 Tile fits run through the shared :class:`~repro.partition.executor.ParallelMap`
 executor — serial by default (deterministic wall-clock), on worker threads
@@ -35,12 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import csr_row_ids
 from ..api.protocol import ClustererMixin
 from ..api.registry import make_backend, register_algorithm
 from ..native import dispatch as native_dispatch
 from ..dbscan.params import DBSCANParams, DBSCANResult
-from ..geometry.transforms import ensure_points3d
+from ..geometry.transforms import ensure_points3d, validate_points
 from ..perf.cost_model import DeviceCostModel, OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
@@ -83,11 +85,13 @@ class TileRunResult:
     neighbor_counts: np.ndarray
     #: exact core flags of the owned points.
     core_mask: np.ndarray
-    #: confirmed ε-adjacency of the owned points as a shard CSR: row ``i``
-    #: holds the neighbours of ``owned[i]`` in *global* indices.
+    #: confirmed ε-adjacency of the owned *core* points as a shard CSR: row
+    #: ``i`` holds the neighbours of ``owned[core_mask][i]`` in *global*
+    #: indices (cluster formation reads no other rows).
     indptr: np.ndarray
     indices: np.ndarray
-    #: pairs whose neighbour lives in the halo (owned by another tile).
+    #: core-row pairs whose neighbour lives in the halo (owned by another
+    #: tile): the boundary edges the merge consumes.
     num_boundary_pairs: int
     build_seconds: float
     build_prims: int
@@ -121,11 +125,12 @@ class TileRunResult:
 def run_tile(job: TileJob) -> TileRunResult:
     """Run both Algorithm 3 query stages for one tile on its own device shard.
 
-    Queries are the tile's owned points, launched as *external* queries
-    against the local (owned + halo) index so that no halo point ever spends
-    a ray.  External queries carry no self filter, so the self hit (distance
-    zero) is removed here: one count per query, and the self row entries of
-    the shard CSR — exactly the paper's ``q != s`` index comparison.
+    Stage-1 queries are the tile's owned points, launched as *external*
+    queries against the local (owned + halo) index so that no halo point
+    ever spends a ray; external queries carry no self filter, so one self
+    hit (distance zero) is subtracted from every count.  Stage 2 fills the
+    owned core points' rows (owned points lead the local ordering, so their
+    local ids are their row ids), self hits excluded by the backend.
     """
     device = RTDevice(
         cost_model=job.cost_model,
@@ -140,23 +145,12 @@ def run_tile(job: TileJob) -> TileRunResult:
         neighbor_counts = counts_with_self.astype(np.int64) - 1
         core_mask = neighbor_counts >= job.min_pts
 
-        indptr, ind_loc, stats2 = finder.neighbor_csr(owned_pts)
+        core = np.flatnonzero(core_mask)
+        indptr, ind_loc, _ = finder.neighbor_csr(rows=core, row_counts=neighbor_counts[core])
         build_seconds = finder.build_seconds
         build_prims = finder.num_prims
     finally:
         finder.release()
-
-    # Strip the self hit: row i of the shard CSR belongs to local point i
-    # (owned points lead the local ordering), so the self entry is the one
-    # whose index equals its own row id.
-    rows_loc = csr_row_ids(indptr)
-    keep = ind_loc != rows_loc
-    dropped = np.bincount(rows_loc[~keep], minlength=job.num_owned)
-    row_counts = np.diff(indptr) - dropped
-    indptr = np.zeros(job.num_owned + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    ind_loc = ind_loc[keep]
-    num_boundary = int((ind_loc >= job.num_owned).sum())
 
     return TileRunResult(
         tile_id=job.tile_id,
@@ -167,13 +161,13 @@ def run_tile(job: TileJob) -> TileRunResult:
         core_mask=core_mask,
         indptr=indptr,
         indices=job.local_to_global[ind_loc],
-        num_boundary_pairs=num_boundary,
+        num_boundary_pairs=int((ind_loc >= job.num_owned).sum()),
         build_seconds=build_seconds,
         build_prims=build_prims,
         stage1_seconds=stats1.simulated_seconds,
-        stage2_seconds=stats2.simulated_seconds,
+        stage2_seconds=stats1.simulated_seconds,
         stage1_counts=stats1.counts,
-        stage2_counts=stats2.counts,
+        stage2_counts=stats1.counts,
     )
 
 
@@ -311,6 +305,7 @@ class TiledRTDBSCAN(ClustererMixin):
             return self._fit(points)
 
     def _fit(self, points: np.ndarray) -> DBSCANResult:
+        points = validate_points(points)
         pts3 = ensure_points3d(points)
         n = pts3.shape[0]
         executor = as_parallel_map(self.workers)
@@ -397,7 +392,7 @@ class TiledRTDBSCAN(ClustererMixin):
             algorithm="rt-dbscan-tiled",
             report=report,
             neighbor_counts=merged.neighbor_counts if self.keep_neighbor_counts else None,
-            points=pts3 if self.keep_neighbor_counts else None,
+            points=points if self.keep_neighbor_counts else None,
             extra={
                 "backend": self.backend,
                 "kernel_tier": native_dispatch.active_tier(),

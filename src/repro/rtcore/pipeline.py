@@ -140,7 +140,8 @@ class ScenePipeline:
 
     # ------------------------------------------------------------------ #
     def launch_csr_queries(
-        self, points: np.ndarray, program: SphereProgram
+        self, points: np.ndarray, program: SphereProgram, *,
+        row_counts: np.ndarray | None = None, charge: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and return confirmed hits as a CSR adjacency.
 
@@ -148,7 +149,10 @@ class ScenePipeline:
         the Intersection program chunk-by-chunk inside the traversal and the
         confirmed neighbour lists come back in canonical CSR form
         (``indptr``, ``indices``) — the full candidate pair set never exists
-        in memory.
+        in memory.  ``row_counts`` (the rows' known hit counts) lets the
+        launch run its fill pass alone (see
+        :func:`~repro.rtcore.programs.launch_sphere`); with ``charge=False``
+        the device is not charged and the returned stats carry no counts.
 
         In triangle mode a sphere is hit through several of its triangles:
         each confirmed triangle hit is charged one AnyHit call and collapsed
@@ -157,7 +161,8 @@ class ScenePipeline:
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         indptr, indices, traversal = launch_sphere(
-            bvh, pts, program, collect=True, chunk_size=self.chunk_size
+            bvh, pts, program, collect=True, chunk_size=self.chunk_size,
+            row_counts=row_counts,
         )
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
@@ -169,7 +174,8 @@ class ScenePipeline:
             )
             indptr, indices = pairs_to_csr(keys // n_owners, keys % n_owners, pts.shape[0])
         stats.confirmed_hits = int(indices.size)
-        self._charge_launch(stats)
+        if charge:
+            self._charge_launch(stats)
         return indptr, indices, stats
 
     def launch_count_queries(

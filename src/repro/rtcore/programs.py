@@ -30,6 +30,8 @@ from ..native import dispatch as native_dispatch
 
 __all__ = ["SphereProgram", "launch_sphere"]
 
+_SEED_MISMATCH = "row_counts differ from the launch's hit counts"
+
 
 @dataclass
 class SphereProgram:
@@ -98,15 +100,19 @@ class SphereProgram:
 
 
 def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: bool,
-                  chunk_size: int = 16384):
+                  chunk_size: int = 16384, row_counts: np.ndarray | None = None):
     """One ε-ray per row of ``points`` against ``bvh``, confirmed by ``program``.
 
     Returns ``(counts, traversal)``, or the canonical CSR adjacency
     ``(indptr, indices, traversal)`` when ``collect`` is set.  On the native
-    tier a count pass sizes the CSR and a fill pass writes it; ``chunk_size``
-    batches the numpy tier's frontier.
+    tier a count pass sizes the CSR and a fill pass writes it.  A CSR launch
+    handed the rows' hit counts as ``row_counts`` (from an earlier count
+    launch) runs the fill pass alone; on either tier it raises
+    ``ValueError`` if the hits differ from them.  ``chunk_size`` batches the
+    numpy tier's frontier.
     """
     nk = native_dispatch.kernels() if program.owners is None else None
+    seeded = collect and row_counts is not None
     if nk is not None:
         qpts = np.ascontiguousarray(points)
         nq = qpts.shape[0]
@@ -114,22 +120,38 @@ def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: b
         filters = dict(
             exclude_self=program.exclude_self, self_map=program.self_map, active=program.active
         )
-        row_counts = np.zeros(nq, dtype=np.int64)
+        counts = np.zeros(nq, dtype=np.int64)
         stats = np.zeros(5, dtype=np.int64)
-        if nk.bvh_sphere(*args, row_counts=row_counts, stats=stats, **filters):
+        # Known row counts size the CSR up front, so the first pass fills it.
+        csr = _csr_buffers(row_counts, nq) if seeded else {}
+        if nk.bvh_sphere(*args, row_counts=counts, stats=stats, **csr, **filters):
             node_visits, leaf_visits, candidates, confirmed, levels = map(int, stats)
             traversal = TraversalStats(
                 queries=nq, node_visits=node_visits, leaf_visits=leaf_visits,
                 candidates=candidates, confirmed=confirmed, levels=levels,
             )
             if not collect:
-                return row_counts, traversal
-            indptr = np.zeros(nq + 1, dtype=np.int64)
-            np.cumsum(row_counts, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.intp)
-            nk.bvh_sphere(*args, indptr=indptr, indices=indices, **filters)
-            return indptr, indices, traversal
+                return counts, traversal
+            if not seeded:
+                csr = _csr_buffers(counts, nq)
+                nk.bvh_sphere(*args, **csr, **filters)
+            elif not np.array_equal(counts, row_counts):
+                raise ValueError(_SEED_MISMATCH)
+            return csr["indptr"], csr["indices"], traversal
     confirm = program.confirm(points)
-    if collect:
-        return point_query_csr(bvh, points, confirm, chunk_size=chunk_size)
-    return point_query_counts_early_exit(bvh, points, confirm, chunk_size=chunk_size)
+    if not collect:
+        return point_query_counts_early_exit(bvh, points, confirm, chunk_size=chunk_size)
+    indptr, indices, traversal = point_query_csr(bvh, points, confirm, chunk_size=chunk_size)
+    if seeded and not np.array_equal(np.diff(indptr), row_counts):
+        raise ValueError(_SEED_MISMATCH)
+    return indptr, indices, traversal
+
+
+def _csr_buffers(row_counts: np.ndarray, nq: int) -> dict:
+    """``indptr`` and an unfilled ``indices`` sized by per-row hit counts."""
+    row_counts = np.asarray(row_counts, dtype=np.int64)
+    if row_counts.shape != (nq,) or (row_counts < 0).any():
+        raise ValueError("row_counts must hold one non-negative count per query")
+    indptr = np.zeros(nq + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    return {"indptr": indptr, "indices": np.empty(int(indptr[-1]), dtype=np.intp)}

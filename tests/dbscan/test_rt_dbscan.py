@@ -15,6 +15,7 @@ from repro.dbscan.classic import classic_dbscan
 from repro.dbscan.rt_dbscan import RTDBSCAN, rt_dbscan
 from repro.data.synthetic import make_blobs, make_moons, make_rings
 from repro.metrics.agreement import compare_results
+from repro.perf.cost_model import OpCounts
 from repro.rtcore.device import RTDevice
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -180,6 +181,17 @@ class TestRTDBSCANInstrumentation:
         assert dev.total_counts.rt_node_visits > 0
         assert dev.total_counts.sm_node_visits == 0
         assert dev.total_counts.union_ops > 0
+
+    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute", "lsh", "sampled"])
+    def test_stage_two_charged_as_the_full_relaunch(self, blob_points, backend):
+        """Stage 2 fills only the core rows but is charged the paper's whole second launch."""
+        dev = RTDevice()
+        got = RTDBSCAN(eps=0.5, min_pts=5, backend=backend, device=dev).fit(blob_points)
+        assert 0 < got.core_mask.sum() < len(blob_points)
+        stage1 = got.report.phase("core_identification").counts
+        stage2 = got.report.phase("cluster_formation").counts
+        assert dict(stage2.as_dict(), union_ops=0, atomic_ops=0) == stage1.as_dict()
+        assert dev.total_counts.as_dict() == OpCounts.sum([stage1, stage2]).as_dict()
 
     def test_device_memory_released_after_fit(self, blob_points):
         dev = RTDevice()

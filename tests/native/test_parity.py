@@ -251,7 +251,8 @@ class TestSphereLaunchTier:
     ``kernel_tier`` reports the tier that was active, not the kernels that
     ran, so a launch path that silently fell back to numpy would keep every
     parity test above green.  Counting the kernel's calls closes that gap:
-    a count launch is one pass, a CSR launch a count pass plus a fill pass.
+    a count launch is one pass, a CSR launch a count pass plus a fill pass,
+    and a CSR launch seeded with its rows' counts the fill pass alone.
     """
 
     @pytest.fixture
@@ -284,6 +285,35 @@ class TestSphereLaunchTier:
                 assert len(calls) == 3
         finally:
             finder.release()
+
+    @pytest.mark.parametrize("backend", ["rt", "kdtree"])
+    def test_seeded_rows_fill_is_one_pass(self, dataset, calls, backend):
+        _, pts, eps = dataset
+        finder = make_backend(backend, pts, eps)
+        try:
+            with dispatch.override(True):
+                counts, _ = finder.neighbor_counts()
+                rows = np.flatnonzero(counts >= MIN_PTS)
+                finder.neighbor_csr(rows=rows, row_counts=counts[rows])
+                finder.neighbor_csr(rows=rows[:0], row_counts=counts[:0])
+        finally:
+            finder.release()
+        assert calls == [len(pts), rows.size]
+
+    def test_fit_fills_only_the_core_rows(self, dataset, calls):
+        """Two traversals per fit: stage 1 over every point, stage 2 over the cores."""
+        _, pts, eps = dataset
+        with dispatch.override(True):
+            result = RTDBSCAN(eps=eps, min_pts=MIN_PTS).fit(pts)
+        assert 0 < result.core_mask.sum() < len(pts)
+        assert calls == [len(pts), int(result.core_mask.sum())]
+
+    def test_tiled_fit_without_core_points_launches_stage_one_only(self, dataset, calls):
+        _, pts, eps = dataset
+        with dispatch.override(True):
+            result = TiledRTDBSCAN(eps=eps, min_pts=len(pts), tiles=4).fit(pts)
+        assert not result.core_mask.any()
+        assert calls == [t["num_owned"] for t in result.extra["tiles"]]
 
     def test_streaming_scene_query(self, dataset, calls):
         _, pts, eps = dataset

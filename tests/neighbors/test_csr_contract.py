@@ -8,6 +8,9 @@ Property suite for the zero-materialisation pair pipeline:
   four backends produce *byte-identical* arrays;
 * ``form_clusters_csr`` output is bit-identical for any row segmentation of
   the same adjacency (including the charged union/atomic counts);
+* on every registered backend, counts equal the CSR row lengths and charge
+  what the CSR launch charges, and a ``rows=`` fill is byte for byte those
+  rows of the full CSR and charges nothing — what stage 2 rests on;
 * no backend materialises a full ε-pair (or candidate-pair) intermediate:
   the tracemalloc peak of a ``neighbor_csr`` sweep stays within a block-sized
   budget that the legacy pipeline exceeded by an order of magnitude.
@@ -21,13 +24,20 @@ import numpy as np
 import pytest
 
 from repro.adjacency import concat_csr, csr_row_ids, expand_ranges, pairs_to_csr
-from repro.api.registry import make_backend
+from repro.api.registry import list_backends, make_backend
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.data.synthetic import make_blobs
 from repro.dbscan.formation import form_clusters_csr
+from repro.native import dispatch
+from repro.rtcore.device import RTDevice
 
 BACKENDS = ["rt", "grid", "kdtree", "brute"]
+TIERS = [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not dispatch.available(), reason="native kernel tier unavailable")),
+]
 
 
 def _naive_pairs(qpts: np.ndarray, data: np.ndarray, eps: float, *, self_query: bool):
@@ -73,18 +83,30 @@ class TestCSRMatchesLegacyPairs:
         assert set(zip(q.tolist(), p.tolist())) == set(zip(q_ref.tolist(), p_ref.tolist()))
         assert q.size == q_ref.size  # multiset, not just set
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_csr_is_canonical(self, blobs, name):
+    @pytest.mark.parametrize("name", list_backends())
+    @pytest.mark.parametrize("queries", ["dataset", "external"])
+    def test_csr_is_canonical(self, blobs, name, queries):
+        """Canonical rows, whose lengths the count launch returns at equal charge.
+
+        Stage 2 rests on the last two: it sizes the core rows by the stage-1
+        counts and charges its launch as the stage-1 counts again.
+        """
         pts, eps = blobs
-        backend = make_backend(name, pts, eps)
+        q = None
+        if queries == "external":
+            q = np.random.default_rng(5).uniform(pts.min(), pts.max(), size=(40, pts.shape[1]))
+        backend = make_backend(name, pts, eps, device=RTDevice())
         try:
-            indptr, indices, _ = backend.neighbor_csr()
-            counts, _ = backend.neighbor_counts()
+            indptr, indices, csr_stats = backend.neighbor_csr(q)
+            counts, count_stats = backend.neighbor_counts(q)
         finally:
             backend.release()
-        assert indptr.shape == (len(pts) + 1,)
+        assert indptr.shape == (len(pts if q is None else q) + 1,)
         assert indptr[0] == 0 and indptr[-1] == indices.size
-        np.testing.assert_array_equal(np.diff(indptr), counts)
+        assert counts.tobytes() == np.diff(indptr).tobytes()
+        assert count_stats.counts.as_dict() == csr_stats.counts.as_dict()
+        assert count_stats.counts.kernel_launches == 1
+        assert count_stats.simulated_seconds == csr_stats.simulated_seconds
         rows = csr_row_ids(indptr)
         # ascending indices within every row <=> (row, index) lexicographic
         order = np.lexsort((indices, rows))
@@ -119,6 +141,84 @@ class TestCSRMatchesLegacyPairs:
         q, p = csr_row_ids(indptr), indices
         assert set(zip(q.tolist(), p.tolist())) == set(zip(q_ref.tolist(), p_ref.tolist()))
         assert q.size == q_ref.size
+
+
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """Rows ``rows`` of a CSR adjacency, cut out independently."""
+    counts = np.diff(indptr)[rows]
+    sub_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_ptr[1:])
+    return sub_ptr, indices[expand_ranges(indptr[:-1][rows], counts)]
+
+
+class TestRowsFill:
+    """``neighbor_csr(rows=..., row_counts=...)``, the stage-2 fill.
+
+    RT-DBSCAN fills only the core rows, sized by their stage-1 counts, so a
+    ``rows=`` fill must be exactly those rows of the full CSR, and free: the
+    stage-2 launch is charged as the stage-1 counts again.
+    """
+
+    @pytest.mark.parametrize("name, kwargs", [
+        *(pytest.param(name, {}, id=name) for name in list_backends()),
+        pytest.param("rt", {"triangle_mode": True}, id="rt-triangles"),
+    ])
+    @pytest.mark.parametrize("native", TIERS)
+    @pytest.mark.parametrize("case", ["empty", "unsorted", "every"])
+    def test_rows_fill_is_those_rows_and_free(self, blobs, name, kwargs, native, case):
+        pts, eps = blobs
+        n = len(pts)
+        rows = {
+            "empty": np.empty(0, dtype=np.intp),
+            "unsorted": np.random.default_rng(3).choice(n, size=n // 3, replace=False),
+            "every": np.arange(n),
+        }[case]
+        device = RTDevice()
+        with dispatch.override(native):
+            backend = make_backend(name, pts, eps, device=device, **kwargs)
+            try:
+                counts, _ = backend.neighbor_counts()
+                indptr, indices, _ = backend.neighbor_csr()
+                charged = device.total_counts.as_dict()
+                sub_ptr, sub_idx, _ = backend.neighbor_csr(rows=rows, row_counts=counts[rows])
+            finally:
+                backend.release()
+        assert device.total_counts.as_dict() == charged
+        ref_ptr, ref_idx = _csr_rows(indptr, indices, rows)
+        assert (sub_ptr.dtype, sub_idx.dtype) == (ref_ptr.dtype, ref_idx.dtype)
+        assert sub_ptr.tobytes() == ref_ptr.tobytes()
+        assert sub_idx.tobytes() == ref_idx.tobytes()
+
+    @pytest.mark.parametrize("name", ["rt", "kdtree"])
+    @pytest.mark.parametrize("native", TIERS)
+    def test_sphere_fill_rejects_wrong_counts(self, blobs, name, native):
+        """A seeded sphere fill checks the counts that sized it."""
+        pts, eps = blobs
+        rows = np.arange(0, len(pts), 5)
+        with dispatch.override(native):
+            backend = make_backend(name, pts, eps)
+            try:
+                counts, _ = backend.neighbor_counts()
+                too_few = counts[rows].copy()
+                too_few[-1] -= 1  # the last row would overrun the buffer
+                for bad in (too_few, counts[rows] + 1, counts[rows][:-1]):
+                    with pytest.raises(ValueError, match="row_counts"):
+                        backend.neighbor_csr(rows=rows, row_counts=bad)
+            finally:
+                backend.release()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_rows_must_be_point_ids(self, blobs, name):
+        pts, eps = blobs
+        backend = make_backend(name, pts, eps)
+        try:
+            for bad in ([0, len(pts)], [-1], [[0, 1]], [0.0, 1.0]):
+                with pytest.raises(ValueError, match="rows"):
+                    backend.neighbor_csr(rows=np.asarray(bad))
+            with pytest.raises(ValueError, match="queries or rows"):
+                backend.neighbor_csr(pts[:3], rows=np.arange(3))
+        finally:
+            backend.release()
 
 
 class TestFormationEquivalence:

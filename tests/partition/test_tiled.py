@@ -49,6 +49,14 @@ class TestLabelEquivalence:
             for label in range(tiled.num_clusters)
         ]
         assert max(spans) > 1
+        # Boundary pairs: core-row ε-pairs whose endpoints different tiles own,
+        # counted independently of the tile worker.
+        d2 = ((blob_points[:, None, :] - blob_points[None, :, :]) ** 2).sum(axis=2)
+        q, p = np.nonzero(d2 <= 0.3 * 0.3)
+        crossing = (q != p) & tiled.core_mask[q] & (owned_of[q] != owned_of[p])
+        assert tiled.extra["num_boundary_pairs"] == int(crossing.sum())
+        per_tile = np.bincount(owned_of[q[crossing]], minlength=len(tiled.extra["tiles"]))
+        assert [t["num_boundary_pairs"] for t in tiled.extra["tiles"]] == per_tile.tolist()
 
     @pytest.mark.parametrize("backend", ["rt", "kdtree"])
     def test_workers_do_not_change_labels(self, blob_points, backend):
@@ -91,6 +99,11 @@ class TestCountParity:
         tiled_form = tiled.report.phase("cluster_formation").counts
         assert tiled_form.union_ops == ref_form.union_ops
         assert tiled_form.atomic_ops == ref_form.atomic_ops
+        # Stage 2 fills only the core rows but is charged the paper's whole
+        # second launch: the stage-1 counts again, tile by tile.
+        stage1 = tiled.report.phase("core_identification").counts
+        assert dict(tiled_form.as_dict(), union_ops=0, atomic_ops=0) == stage1.as_dict()
+        assert all(t["stage2_seconds"] == t["stage1_seconds"] for t in tiled.extra["tiles"])
 
         # One query per owned point per stage: ray totals match exactly, and
         # the per-tile summaries stitch back to the phase totals.
