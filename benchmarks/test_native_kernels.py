@@ -16,9 +16,9 @@ number of rounds.  The gates:
   and brute, and ≥ 1.2× for kdtree, whose fit includes the tier-independent
   Python-side tree build.
 * **The isolated ``confirm_pairs`` microbench**: its output is identical to
-  the numpy confirm's and it is ≥ 3× faster at any size.  The lsh backend's
-  end-to-end wall is dominated by tier-independent candidate generation, so
-  its compiled confirm pass is timed alone.
+  the numpy confirm's and it is ≥ 3× faster at any size.  No backend calls
+  this kernel; it goes together with its microbench once perfbench's tracer
+  stops patching it by name.
 * **Thread scaling** over 1, 2, 4 and the host's maximum thread count: every
   cell reproduces the 1-thread bytes on all four backends, and on hosts with
   ≥ 4 cores the best multi-thread grid and brute cells are ≥ 2× the 1-thread
@@ -139,7 +139,11 @@ def test_tiers_match_and_native_is_faster(problem, backend, n):
 
 
 def test_confirm_pairs_microbench(problem):
-    """The lsh exact-distance confirm alone, on a deduped pair stream like lsh's."""
+    """The exact-distance pair confirm alone, on a deduped (query, candidate) stream.
+
+    The kernel has no caller; it is kept only while perfbench's tracer
+    patches it by name.
+    """
     n = LADDER[-1]
     points, eps = problem(n)
     nk = dispatch.kernels()

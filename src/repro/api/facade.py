@@ -15,15 +15,11 @@ import numpy as np
 from .registry import make_clusterer
 from .spec import ClustererSpec
 
-__all__ = ["cluster", "DEFAULT_REFERENCE"]
+__all__ = ["cluster"]
 
 
 #: datasets larger than this are subsampled for the k-distance calibration.
 CALIBRATION_SAMPLE = 50_000
-
-#: exact reference run used for ``reference=True`` agreement reports — the
-#: KD-tree substrate is the fastest exact host backend.
-DEFAULT_REFERENCE = "rt-dbscan@kdtree"
 
 
 def cluster(
@@ -36,7 +32,6 @@ def cluster(
     tiles: int | None = None,
     workers: int | None = None,
     device=None,
-    reference: bool | str | None = None,
     eps_quantile: float = 0.30,
     seed: int = 0,
     calibration_sample: int | None = CALIBRATION_SAMPLE,
@@ -66,16 +61,6 @@ def cluster(
         (``"rt-dbscan-tiled"``): spatial tile count and executor parallelism.
     device:
         Simulated RT device to charge the run to (fresh default if omitted).
-    reference:
-        Quantify agreement against an exact reference run: ``True`` compares
-        against :data:`DEFAULT_REFERENCE`, a string names any registered
-        algorithm (``"algo"`` or ``"algo@backend"`` spelling).  The reference
-        is fitted on the same points with the same ``eps``/``min_pts`` on its
-        own device, and the quality block of
-        :func:`repro.metrics.agreement_summary` (ARI, core/noise/partition
-        agreement, simulated speedup) lands in ``result.extra["agreement"]``.
-        This is how approximate-tier runs (``backend="lsh"`` / ``"sampled"``)
-        ship with their error bar.
     seed:
         Seed for the calibration subsample, so the auto-calibrated ε is
         reproducible on datasets larger than ``calibration_sample``.
@@ -125,11 +110,4 @@ def cluster(
         result.extra.update(calibration)
         if result.report is not None:
             result.report.metadata.update(calibration)
-    if reference:
-        from ..metrics.agreement import agreement_summary
-
-        ref_algo = DEFAULT_REFERENCE if reference is True else str(reference)
-        ref_spec = ClustererSpec(algo=ref_algo, eps=float(eps), min_pts=min_pts)
-        ref_result = make_clusterer(ref_spec).fit(pts)
-        result.extra["agreement"] = agreement_summary(result, ref_result, points=pts)
     return result

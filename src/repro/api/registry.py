@@ -68,26 +68,17 @@ class BackendEntry:
 
     ``factory`` is called as ``factory(points, radius, device=..., **kwargs)``
     and must return an object satisfying the
-    :class:`~repro.neighbors.backend.NeighborBackend` protocol.
-
-    ``exact`` records the exactness contract: exact backends return the true
-    ε-adjacency (and therefore bit-identical DBSCAN labels); approximate
-    backends (``exact=False``) trade recall for speed and every run through
-    them should ship with an agreement report against an exact reference
-    (see :func:`repro.metrics.agreement_summary`).  ``knobs`` names the
-    backend-specific constructor kwargs (e.g. ``recall_target`` for the LSH
-    backend) that :class:`~repro.api.spec.ClustererSpec` validates and
-    :func:`make_clusterer` routes to the backend factory.  ``native`` marks
-    backends whose hot loops have a compiled implementation in the optional
-    native tier (:mod:`repro.native`); results are byte-identical either way.
+    :class:`~repro.neighbors.backend.NeighborBackend` protocol.  Every
+    backend is exact: it returns the true ε-adjacency, so DBSCAN labels are
+    bit-identical whichever one runs.  ``native`` marks backends whose hot
+    loops have a compiled implementation in the optional native tier
+    (:mod:`repro.native`); results are byte-identical either way.
     """
 
     name: str
     factory: Callable[..., Any]
     description: str = ""
     aliases: tuple[str, ...] = ()
-    exact: bool = True
-    knobs: tuple[str, ...] = ()
     native: bool = False
 
 
@@ -98,7 +89,6 @@ _BACKENDS: dict[str, BackendEntry] = {}
 _BUILTIN_MODULES = (
     "repro.neighbors.rt_find",
     "repro.neighbors.backend",
-    "repro.neighbors.approx",
     "repro.dbscan",
     "repro.baselines",
     "repro.streaming",
@@ -173,18 +163,14 @@ def register_backend(
     *,
     description: str = "",
     aliases: tuple[str, ...] = (),
-    exact: bool = True,
-    knobs: tuple[str, ...] = (),
     native: bool = False,
 ) -> Callable:
     """Class/function decorator that registers a neighbour-backend factory.
 
     The decorated object must be callable as ``factory(points, radius,
-    device=..., **kwargs)``.  ``exact=False`` marks deliberately inexact
-    backends (the approximate tier); ``knobs`` declares their tunable
-    speed/recall kwargs so specs can validate them up front; ``native=True``
-    advertises a compiled implementation of the backend's hot loops in the
-    optional native tier.
+    device=..., **kwargs)`` and return the exact ε-adjacency;
+    ``native=True`` advertises a compiled implementation of the backend's
+    hot loops in the optional native tier.
     """
 
     def decorator(factory: Callable) -> Callable:
@@ -193,8 +179,6 @@ def register_backend(
             factory=factory,
             description=description,
             aliases=tuple(a.lower() for a in aliases),
-            exact=exact,
-            knobs=tuple(knobs),
             native=native,
         )
         for key in (entry.name, *entry.aliases):
@@ -284,19 +268,6 @@ def make_clusterer(spec, *, device=None):
     params = dict(spec.params)
     if backend is not None:
         params["backend"] = backend
-        # Route backend-specific knobs (declared on the registry entry) into
-        # the ``backend_kwargs`` dict the backend-pluggable algorithms
-        # forward verbatim to make_backend: both the explicit
-        # ``params["backend_kwargs"]`` spelling and bare top-level knobs
-        # (``recall_target=0.9``) are accepted; unknown knob names were
-        # already rejected by ``spec.resolve()``.
-        knobs = get_backend(backend).knobs
-        backend_kwargs = dict(params.pop("backend_kwargs", None) or {})
-        for knob in knobs:
-            if knob in params:
-                backend_kwargs.setdefault(knob, params.pop(knob))
-        if backend_kwargs:
-            params["backend_kwargs"] = backend_kwargs
     if spec.tiles is not None:
         params["tiles"] = spec.tiles
     if spec.workers is not None:

@@ -107,22 +107,6 @@ class ClustererSpec:
             raise ValueError(
                 f"algorithm {entry.name!r} does not accept a neighbour backend"
             )
-        # Backend-specific kwargs (declared knobs such as the approximate
-        # tier's recall_target) are validated against the registry entry so
-        # a typo fails here, not deep inside the backend constructor.
-        declared = self.params.get("backend_kwargs") or {}
-        if declared and backend is None:
-            raise ValueError(
-                "backend_kwargs were given but no neighbour backend is selected"
-            )
-        if backend is not None:
-            bentry = get_backend(backend)
-            unknown = set(declared) - set(bentry.knobs)
-            if unknown:
-                raise ValueError(
-                    f"neighbour backend {backend!r} does not accept kwargs "
-                    f"{sorted(unknown)}; valid knobs: {sorted(bentry.knobs) or 'none'}"
-                )
         if (self.tiles is not None or self.workers is not None) and not entry.supports_tiles:
             raise ValueError(
                 f"algorithm {entry.name!r} does not accept tiles/workers; "

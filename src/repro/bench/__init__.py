@@ -10,11 +10,9 @@ from .experiments import (
     ExperimentSpec,
     get_experiment,
     list_experiments,
-    run_approx_experiment,
     run_experiment,
 )
 from .report import (
-    format_agreement_table,
     format_breakdown,
     format_records,
     format_speedup_table,
@@ -28,8 +26,6 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "run_experiment",
-    "run_approx_experiment",
-    "format_agreement_table",
     "format_breakdown",
     "format_records",
     "format_speedup_table",

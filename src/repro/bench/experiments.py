@@ -20,8 +20,7 @@ import numpy as np
 from ..data.registry import generate
 from ..data.stream import make_stream
 from ..neighbors.knn import kth_neighbor_distances
-from ..partition.executor import ParallelMap, as_parallel_map
-from .runner import RunRecord, run_single, run_sweep
+from .runner import RunRecord, run_sweep
 
 __all__ = [
     "calibrate_eps",
@@ -29,7 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "get_experiment",
     "run_experiment",
-    "run_approx_experiment",
     "list_experiments",
     "StreamingExperimentSpec",
     "StreamingRunResult",
@@ -83,7 +81,7 @@ class ExperimentSpec:
     paper_ref: str
     title: str
     dataset: str
-    mode: str  # "eps_sweep" | "size_sweep" | "breakdown" | "triangle_mode" | "approx_sweep"
+    mode: str  # "eps_sweep" | "size_sweep" | "breakdown" | "triangle_mode"
     algorithms: tuple[str, ...]
     baseline: str
     min_pts: int
@@ -102,7 +100,6 @@ class ExperimentSpec:
     seed: int = 2023
     description: str = ""
     notes: str = ""
-    extra: dict = field(default_factory=dict, hash=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def reference_size(self) -> int:
@@ -128,7 +125,7 @@ class ExperimentSpec:
             pts = largest
             for eps in self.eps_values(pts):
                 configs.append((self.dataset, pts, eps, self.min_pts))
-        elif self.mode in ("size_sweep", "breakdown", "triangle_mode", "approx_sweep"):
+        elif self.mode in ("size_sweep", "breakdown", "triangle_mode"):
             eps_list = self.eps_values(largest)
             eps = eps_list[0]
             for n in sizes:
@@ -407,41 +404,6 @@ _register(ExperimentSpec(
                 "visits) shrinks with tile locality and the per-shard critical path — the "
                 "wall-clock of a real multi-GPU deployment — drops well below the monolithic "
                 "run (reported in the tiled records' critical_path_seconds).",
-))
-
-_register(ExperimentSpec(
-    id="approx",
-    paper_ref="Beyond the paper",
-    title="Approximate tier: speedup vs agreement per speed/recall knob setting",
-    dataset="blobs",
-    mode="approx_sweep",
-    algorithms=("rt-dbscan@brute", "rt-dbscan@lsh", "rt-dbscan@sampled"),
-    baseline="rt-dbscan@brute",
-    min_pts=10,
-    paper_sizes=(4_000,),
-    sizes=(4_000,),
-    eps_quantile=0.30,
-    description="The deliberately inexact lsh/sampled backends swept over their speed "
-                "knobs; every record carries the agreement_summary quality block (ARI, "
-                "core/noise/partition agreement) against the exact baseline, and speedups "
-                "are over the exhaustive brute oracle the candidates skip.",
-    extra={
-        # the knob ladder each approximate backend is swept over, weakest first
-        "knobs": {
-            "lsh": [
-                {"recall_target": 0.5},
-                {"recall_target": 0.8},
-                {"recall_target": 0.95},
-                {"recall_target": 1.0},
-            ],
-            "sampled": [
-                {"sample_rate": 0.25},
-                {"sample_rate": 0.5},
-                {"sample_rate": 0.75},
-                {"sample_rate": 1.0},
-            ],
-        },
-    },
 ))
 
 _register(ExperimentSpec(
@@ -891,56 +853,7 @@ def run_experiment(
 ) -> list[RunRecord]:
     """Run every configuration of one experiment and return the records."""
     spec = get_experiment(exp_id)
-    if spec.mode == "approx_sweep":
-        return run_approx_experiment(spec, scale=scale, **kwargs)
     configs = spec.build_configs(scale=scale)
     algos = list(algorithms) if algorithms is not None else list(spec.algorithms)
     return run_sweep(algos, configs, **kwargs)
 
-
-def _run_approx_job(job: tuple) -> RunRecord:
-    """One approx-sweep cell."""
-    algo, pts, eps, min_pts, label, cost_model, reference, knob = job
-    kwargs = {"backend_kwargs": dict(knob)} if knob else {}
-    return run_single(
-        algo, pts, eps, min_pts, dataset=label, cost_model=cost_model,
-        reference=reference, **kwargs,
-    )
-
-
-def run_approx_experiment(
-    spec: ExperimentSpec | str,
-    *,
-    scale: float = 1.0,
-    cost_model=None,
-    workers: int | ParallelMap | None = None,
-) -> list[RunRecord]:
-    """Sweep the approximate backends over their knob ladders with agreement.
-
-    Returns one record for the exact baseline plus one per
-    (approximate algorithm, knob setting), each approximate record carrying
-    the :func:`repro.metrics.agreement_summary` quality block against the
-    baseline under ``extra["agreement"]`` and its knob setting under
-    ``extra["backend_kwargs"]`` — the data behind the speedup-vs-agreement
-    table (:func:`repro.bench.report.format_agreement_table`).  ``workers``
-    fans the independent cells out over the shared
-    :class:`~repro.partition.executor.ParallelMap` executor, as in
-    :func:`~repro.bench.runner.run_sweep`.
-    """
-    if isinstance(spec, str):
-        spec = get_experiment(spec)
-    if spec.mode != "approx_sweep":
-        raise ValueError(f"experiment {spec.id!r} is not an approx_sweep experiment")
-    label, pts, eps, min_pts = spec.build_configs(scale=scale)[0]
-    ladders = spec.extra.get("knobs", {})
-    jobs = [(spec.baseline, pts, eps, min_pts, label, cost_model, None, None)]
-    for algo in spec.algorithms:
-        if algo == spec.baseline:
-            continue
-        backend = algo.partition("@")[2]
-        for knob in ladders.get(backend, [{}]):
-            jobs.append(
-                (algo, pts, eps, min_pts, label, cost_model, spec.baseline, knob)
-            )
-    executor = as_parallel_map(workers)
-    return executor.map(_run_approx_job, jobs)

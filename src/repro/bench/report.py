@@ -15,7 +15,6 @@ __all__ = [
     "format_speedup_table",
     "format_breakdown",
     "format_records",
-    "format_agreement_table",
 ]
 
 
@@ -98,40 +97,6 @@ def format_speedup_table(
                 else:
                     row.append(f"{sp:>19.2f}x")
         lines.append(" | ".join(row))
-    return "\n".join(lines)
-
-
-def format_agreement_table(records: list[RunRecord], *, title: str = "") -> str:
-    """Speedup-vs-agreement table of an approximate-tier sweep.
-
-    One row per record carrying an ``extra["agreement"]`` quality block (the
-    output of :func:`repro.bench.experiments.run_approx_experiment` or any
-    :func:`~repro.bench.runner.run_single` call with ``reference=``): the
-    knob setting, the simulated speedup over the reference, the ARI and the
-    core/noise agreement rates — every approximate number next to its error
-    bar.
-    """
-    header = (
-        f"{'algorithm':<20} {'knobs':<24} {'speedup':>8} {'ARI':>7} "
-        f"{'core agr':>9} {'noise agr':>10} {'equivalent':>11}"
-    )
-    lines = [title, header, "-" * len(header)] if title else [header, "-" * len(header)]
-    for r in records:
-        agreement = r.extra.get("agreement")
-        if agreement is None:
-            continue
-        knobs = ", ".join(
-            f"{k}={v:g}" if isinstance(v, (int, float)) else f"{k}={v}"
-            for k, v in (r.extra.get("backend_kwargs") or {}).items()
-        )
-        speedup = agreement.get("simulated_speedup")
-        lines.append(
-            f"{r.algorithm:<20} {knobs or '--':<24} "
-            f"{(f'{speedup:.2f}x' if speedup is not None else '--'):>8} "
-            f"{agreement['ari']:>7.4f} {agreement['core_agreement']:>9.4f} "
-            f"{agreement['noise_agreement']:>10.4f} "
-            f"{('yes' if agreement['equivalent'] else 'no'):>11}"
-        )
     return "\n".join(lines)
 
 

@@ -82,7 +82,6 @@ def run_single(
     dataset: str = "unknown",
     cost_model: DeviceCostModel | None = None,
     backend: str | None = None,
-    reference: str | None = None,
     **kwargs,
 ) -> RunRecord:
     """Run one algorithm on one configuration and return its record.
@@ -90,12 +89,6 @@ def run_single(
     ``algorithm`` is resolved from the registry (``KeyError`` lists the
     available names); ``backend`` pins a neighbour backend for algorithms
     that support one, equivalent to the ``"algo@backend"`` spelling.
-
-    ``reference`` names an exact algorithm (``"algo"`` or ``"algo@backend"``)
-    to fit on the same configuration; the run record then carries the
-    :func:`repro.metrics.agreement_summary` quality block under
-    ``extra["agreement"]`` — how the approximate tier ships every number
-    with its error bar.
 
     Out-of-memory conditions on the simulated device are reported as
     ``status="oom"`` rather than raised, because the paper treats them as
@@ -129,24 +122,6 @@ def run_single(
         return record
     record.wall_seconds = time.perf_counter() - start
     _fill_from_result(record, result)
-    if kwargs.get("backend_kwargs"):
-        record.extra["backend_kwargs"] = dict(kwargs["backend_kwargs"])
-    if reference is not None:
-        from ..metrics.agreement import agreement_summary
-
-        ref_entry, ref_backend = ClustererSpec(
-            algo=reference, eps=float(eps), min_pts=int(min_pts)
-        ).resolve()
-        ref_kwargs = {"backend": ref_backend} if ref_backend is not None else {}
-        ref_device = (
-            RTDevice(cost_model=cost_model) if cost_model is not None else RTDevice()
-        )
-        ref_result = ref_entry.factory(
-            eps=eps, min_pts=min_pts, device=ref_device, **ref_kwargs
-        ).fit(points)
-        record.extra["agreement"] = agreement_summary(
-            result, ref_result, points=points
-        )
     return record
 
 

@@ -34,7 +34,6 @@ import textwrap
 import numpy as np
 
 from .api import ClustererSpec, make_clusterer
-from .api.facade import DEFAULT_REFERENCE
 from .api.registry import get_algorithm, get_backend, list_algorithms, list_backends
 from .bench.experiments import (
     get_experiment,
@@ -45,7 +44,6 @@ from .bench.experiments import (
     run_streaming,
 )
 from .bench.report import (
-    format_agreement_table,
     format_breakdown,
     format_records,
     format_speedup_table,
@@ -138,17 +136,9 @@ CLUSTER_EPILOG = textwrap.dedent(
       rt-dbscan cluster --dataset blobs --num-points 50000 --eps 0.3 \\
           --min-pts 10 --tiles 4 --workers 4
 
-      # the approximate tier: LSH candidates at a 0.8 recall target; the run
-      # automatically reports ARI + core/noise/partition agreement against
-      # the exact kdtree reference
-      rt-dbscan cluster --dataset blobs --num-points 5000 --eps 0.3 \\
-          --min-pts 10 --backend lsh --recall-target 0.8
-
     Algorithm and backend names come from the registry; run `rt-dbscan list`
     to see them all.  --algo also accepts the compact algo@backend spelling.
     --tiles upgrades the default rt-dbscan to the tiled variant automatically.
-    Approximate backends (lsh, sampled) get an agreement report against
-    --reference (default rt-dbscan@kdtree; 'none' disables it).
     """
 )
 
@@ -198,19 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: the REPRO_NATIVE_THREADS environment "
                                 "knob, itself defaulting to one worker per core); "
                                 "labels are identical at any count")
-    p_cluster.add_argument("--recall-target", type=float, default=None,
-                           help="lsh backend: per-edge recall target in (0, 1]; "
-                                "1.0 falls back to the exact exhaustive sweep")
-    p_cluster.add_argument("--probes", type=int, default=None,
-                           help="lsh backend: explicit probe-table count "
-                                "(overrides --recall-target)")
-    p_cluster.add_argument("--sample-rate", type=float, default=None,
-                           help="sampled backend: candidate-pool fraction in (0, 1]")
-    p_cluster.add_argument("--reference", default="auto", metavar="ALGO",
-                           help="exact reference for the agreement report: an "
-                                "algorithm name (algo or algo@backend), 'none' to "
-                                "disable, or 'auto' (default) which compares "
-                                f"approximate backends against {DEFAULT_REFERENCE}")
     p_cluster.add_argument("--output", help="write labels (one per line) to this file")
     p_cluster.add_argument("--json", action="store_true", help="print the summary as JSON")
 
@@ -335,37 +312,19 @@ def _tiled_algorithm_name(algorithm: str, tiles: int | None) -> str:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     algorithm = _tiled_algorithm_name(args.algorithm, args.tiles)
     native = {"auto": None, "on": True, "off": False}[args.native]
-    backend_kwargs = {
-        knob: value
-        for knob, value in (
-            ("recall_target", args.recall_target),
-            ("num_probes", args.probes),
-            ("sample_rate", args.sample_rate),
-        )
-        if value is not None
-    }
-    params = {"backend_kwargs": backend_kwargs} if backend_kwargs else {}
     try:
         # Validates the whole combination up front: algorithm name, backend
-        # name, algo@backend consistency, tiles/workers support, the numeric
-        # parameters and the backend-specific knobs.
+        # name, algo@backend consistency, tiles/workers support and the
+        # numeric parameters.
         spec = ClustererSpec(
             algo=algorithm, eps=args.eps, min_pts=args.min_pts,
             backend=args.backend, tiles=args.tiles, workers=args.workers,
-            native=native, native_threads=args.native_threads, params=params,
+            native=native, native_threads=args.native_threads,
         )
-        _, resolved_backend = spec.resolve()
+        spec.resolve()
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reference = None if args.reference == "none" else args.reference
-    if reference == "auto":
-        # Approximate backends always ship with their error bar; exact runs
-        # need no reference.
-        approximate = (
-            resolved_backend is not None and not get_backend(resolved_backend).exact
-        )
-        reference = DEFAULT_REFERENCE if approximate else None
     points = _load_points(args)
     extra_kwargs = {}
     if args.tiles is not None:
@@ -376,22 +335,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         extra_kwargs["native"] = native
     if args.native_threads is not None:
         extra_kwargs["native_threads"] = args.native_threads
-    if backend_kwargs:
-        extra_kwargs["backend_kwargs"] = backend_kwargs
     record = run_single(
         algorithm, points, args.eps, args.min_pts,
-        dataset=args.dataset or args.input, backend=args.backend,
-        reference=reference, **extra_kwargs,
+        dataset=args.dataset or args.input, backend=args.backend, **extra_kwargs,
     )
     if args.json:
         print(json.dumps(record.as_dict(), indent=2))
     else:
         print(format_records([record]))
-        if record.extra.get("agreement"):
-            print()
-            print(format_agreement_table(
-                [record], title=f"Agreement vs exact reference ({reference})"
-            ))
         if record.breakdown:
             print()
             print(format_breakdown(record))
@@ -511,11 +462,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(f"# {spec.paper_ref}: {spec.title}")
     print(f"# dataset={spec.dataset}  minPts={spec.min_pts}  scale={args.scale}")
     print()
-    if spec.mode == "approx_sweep":
-        print(format_agreement_table(
-            records, title=f"Speedup vs agreement (exact baseline: {spec.baseline})"
-        ))
-        return 0
     vary = "eps" if spec.mode == "eps_sweep" else "num_points"
     print(format_time_table(records, algorithms=list(spec.algorithms), vary=vary,
                             title="Execution time (simulated seconds)"))
@@ -554,12 +500,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("neighbour backends (for algorithms tagged [backends]):")
     for name in list_backends():
         entry = get_backend(name)
-        tags = []
-        if not entry.exact:
-            tags.append("approximate")
-        if entry.native:
-            tags.append("native")
-        suffix = f"  [{', '.join(tags)}]" if tags else ""
+        suffix = "  [native]" if entry.native else ""
         print(f"  {name:<22} {entry.description}{suffix}")
     print("experiments:")
     for exp_id in list_experiments():

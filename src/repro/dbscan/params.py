@@ -122,8 +122,7 @@ class DBSCANResult:
         with the KD-tree backend, sized by the stored counts, and consumed
         directly by the same union–find formation pass every backend uses
         (no pair arrays are materialised), so the result is bit-identical to
-        a fresh ``RTDBSCAN(eps, min_pts).fit``.  Counts from an approximate
-        backend are not the exact rows' lengths, so they size nothing.
+        a fresh ``RTDBSCAN(eps, min_pts).fit``.
 
         Requires ``neighbor_counts`` and ``points`` (kept by default via
         ``keep_neighbor_counts=True``).
@@ -138,17 +137,15 @@ class DBSCANResult:
         params = DBSCANParams(eps=self.params.eps, min_pts=min_pts)
         core_mask = self.neighbor_counts >= params.min_pts
 
-        from ..api.registry import get_backend
         from ..neighbors.backend import KDTreeNeighborBackend
         from .formation import form_clusters_csr
 
         source = self.extra.get("backend")
-        exact = source is None or get_backend(source).exact
         core_ids = np.flatnonzero(core_mask)
         backend = KDTreeNeighborBackend(self.points, params.eps)
         try:
             indptr, indices, _ = backend.neighbor_csr(
-                rows=core_ids, row_counts=self.neighbor_counts[core_ids] if exact else None
+                rows=core_ids, row_counts=self.neighbor_counts[core_ids]
             )
         finally:
             backend.release()

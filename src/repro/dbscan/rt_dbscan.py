@@ -88,14 +88,6 @@ class RTDBSCAN(ClustererMixin):
         Use the Section VI-C triangle tessellation instead of the sphere
         Intersection program (slower; for the ablation benchmark).  Only
         meaningful with the ``"rt"`` backend.
-    backend_kwargs:
-        Extra keyword arguments forwarded verbatim to the backend factory —
-        the knob channel of the approximate tier (e.g.
-        ``backend="lsh", backend_kwargs={"recall_target": 0.8}``).  With an
-        approximate backend the labels are no longer bit-identical to the
-        exact substrates; pair such runs with
-        :func:`repro.metrics.agreement_summary` or
-        ``repro.cluster(..., reference=...)``.
     keep_neighbor_counts:
         Store the per-point neighbour counts (and the points) in the result
         so that :meth:`DBSCANResult.refit` can relabel with a different
@@ -123,7 +115,6 @@ class RTDBSCAN(ClustererMixin):
     triangle_mode: bool = False
     triangle_subdivisions: int = 0
     keep_neighbor_counts: bool = True
-    backend_kwargs: dict | None = None
     native: bool | None = None
     native_threads: int | None = None
 
@@ -137,19 +128,15 @@ class RTDBSCAN(ClustererMixin):
             )
 
     def _backend_kwargs(self) -> dict:
-        if self.backend == "rt":
-            kwargs = {
-                "builder": self.builder,
-                "leaf_size": self.leaf_size,
-                "chunk_size": self.chunk_size,
-                "triangle_mode": self.triangle_mode,
-                "triangle_subdivisions": self.triangle_subdivisions,
-            }
-        else:
-            kwargs = {}
-        if self.backend_kwargs:
-            kwargs.update(self.backend_kwargs)
-        return kwargs
+        if self.backend != "rt":
+            return {}
+        return {
+            "builder": self.builder,
+            "leaf_size": self.leaf_size,
+            "chunk_size": self.chunk_size,
+            "triangle_mode": self.triangle_mode,
+            "triangle_subdivisions": self.triangle_subdivisions,
+        }
 
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> DBSCANResult:
@@ -251,11 +238,6 @@ class RTDBSCAN(ClustererMixin):
                 "build_seconds": finder.build_seconds if finder else 0.0,
                 "backend": self.backend,
                 "kernel_tier": native_dispatch.active_tier(),
-                **(
-                    {"backend_kwargs": dict(self.backend_kwargs)}
-                    if self.backend_kwargs
-                    else {}
-                ),
             },
         )
 

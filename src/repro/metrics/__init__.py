@@ -8,7 +8,6 @@ sequential oracle.
 
 from .agreement import (
     AgreementReport,
-    agreement_summary,
     compare_results,
     core_partitions_equal,
     labels_equivalent,
@@ -17,7 +16,6 @@ from .ari import adjusted_rand_index, contingency_matrix, pair_confusion_matrix,
 
 __all__ = [
     "AgreementReport",
-    "agreement_summary",
     "compare_results",
     "core_partitions_equal",
     "labels_equivalent",

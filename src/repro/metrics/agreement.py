@@ -20,7 +20,6 @@ from .ari import adjusted_rand_index
 
 __all__ = [
     "AgreementReport",
-    "agreement_summary",
     "compare_results",
     "core_partitions_equal",
     "labels_equivalent",
@@ -148,42 +147,3 @@ def labels_equivalent(a: DBSCANResult, b: DBSCANResult, *, points: np.ndarray | 
     """Shorthand: are the two results DBSCAN-equivalent?"""
     return compare_results(a, b, points=points).equivalent
 
-
-def agreement_summary(
-    result: DBSCANResult,
-    reference: DBSCANResult,
-    *,
-    points: np.ndarray | None = None,
-) -> dict:
-    """Quantified agreement of ``result`` against an exact ``reference``.
-
-    This is the quality block every approximate-tier run ships with
-    (stored under ``DBSCANResult.extra["agreement"]`` by
-    ``repro.cluster(..., reference=...)`` and the bench "approx"
-    experiment).  On top of the strict :func:`compare_results` report it
-    adds *rates* — the fraction of points on which the core/noise verdicts
-    agree, which is more informative than the all-or-nothing booleans when
-    the backends genuinely differ — and the simulated speedup over the
-    reference when both results carry execution reports.
-    """
-    report = compare_results(reference, result, points=points)
-    n = max(1, result.num_points)
-    out = report.as_dict()
-    out.update(
-        {
-            "reference_algorithm": reference.algorithm,
-            "reference_backend": reference.extra.get("backend"),
-            "core_agreement": float(
-                (result.core_mask == reference.core_mask).sum() / n
-            ),
-            "noise_agreement": float(
-                (result.noise_mask == reference.noise_mask).sum() / n
-            ),
-        }
-    )
-    if result.report is not None and reference.report is not None:
-        ref_s = reference.report.total_simulated_seconds
-        res_s = result.report.total_simulated_seconds
-        if res_s > 0:
-            out["simulated_speedup"] = float(ref_s / res_s)
-    return out

@@ -1,9 +1,9 @@
 """Native-tier dispatch: the single decision point for numpy vs C kernels.
 
-Call sites (the grid/brute neighbour backends, the approx confirm pass, the
-sphere launch shared by rt/kdtree/streaming, the batched union-find) ask
-:func:`kernels` for a :class:`NativeKernels` handle and fall back to their
-numpy path when it returns ``None``.  The answer is governed by, in priority order:
+Call sites (the grid/brute neighbour backends, the sphere launch shared by
+rt/kdtree/streaming, the batched union-find) ask :func:`kernels` for a
+:class:`NativeKernels` handle and fall back to their numpy path when it
+returns ``None``.  The answer is governed by, in priority order:
 
 1. the :func:`override` context manager (the ``native=`` field on
    ``ClustererSpec`` / ``RTDBSCAN`` pushes one around a fit; overrides are
@@ -75,7 +75,7 @@ KERNEL_SLOTS = {
     "grid_scan": "neighbors/backend.py (grid stencil gather)",
     "brute_block": "neighbors/brute.py (blocked confirm sweep)",
     "bvh_sphere": "rtcore/programs.py (rt, kdtree and streaming sphere launches)",
-    "confirm_pairs": "neighbors/approx.py (lsh exact-distance confirm)",
+    "confirm_pairs": "no caller (kept while perfbench's tracer patches it by name)",
     "uf_union_edges": "dbscan/disjoint_set.py (batched union-find, serial)",
 }
 
@@ -512,7 +512,7 @@ class NativeKernels:
         )
         return True
 
-    # -- approx confirm --------------------------------------------------- #
+    # -- pair confirm (no caller) -------------------------------------------- #
     def confirm_pairs(
         self,
         qblock: np.ndarray,
@@ -527,7 +527,11 @@ class NativeKernels:
         row_counts: np.ndarray | None = None,
         indices: np.ndarray | None = None,
     ) -> bool:
-        """Exact-distance confirm of deduped (query, candidate) pair rows."""
+        """Exact-distance confirm of deduped (query, candidate) pair rows.
+
+        No backend calls this; it stays only while perfbench's tracer
+        patches it by name.
+        """
         if not (_is_c_f64(qblock) and _is_c_f64(points)):
             return False
         if not (_is_c_i64(cands) and _is_c_i64(pair_indptr)):

@@ -9,11 +9,6 @@ backends — so the DBSCAN pipeline can run on any search substrate
 (see :mod:`repro.neighbors.backend`).
 """
 
-from .approx import (
-    LSHNeighborBackend,
-    SampledNeighborBackend,
-    probes_for_recall,
-)
 from .backend import (
     BruteNeighborBackend,
     GridNeighborBackend,
@@ -32,9 +27,6 @@ from .rt_find import RTNeighborFinder, rt_find_neighbors
 
 __all__ = [
     "NeighborBackend",
-    "LSHNeighborBackend",
-    "SampledNeighborBackend",
-    "probes_for_recall",
     "BruteNeighborBackend",
     "GridNeighborBackend",
     "KDTreeNeighborBackend",

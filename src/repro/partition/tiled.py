@@ -207,12 +207,6 @@ class TiledRTDBSCAN(ClustererMixin):
     builder, leaf_size, chunk_size:
         Acceleration-structure parameters forwarded to the ``rt`` backend
         (ignored by the host backends).
-    backend_kwargs:
-        Extra keyword arguments forwarded verbatim to the backend factory.
-        Only **exact** backends are accepted here: the tile worker launches
-        owned points as external queries and subtracts the guaranteed self
-        hit, a convention the approximate tier (``lsh`` / ``sampled``) does
-        not honour — run those through the monolithic pipeline.
     keep_neighbor_counts:
         Store per-point neighbour counts and points in the result so
         :meth:`DBSCANResult.refit` works, as in the untiled pipeline.
@@ -238,7 +232,6 @@ class TiledRTDBSCAN(ClustererMixin):
     leaf_size: int = 4
     chunk_size: int = 16384
     keep_neighbor_counts: bool = True
-    backend_kwargs: dict | None = None
     native: bool | None = None
     native_threads: int | None = None
 
@@ -246,13 +239,6 @@ class TiledRTDBSCAN(ClustererMixin):
         self.params = DBSCANParams(eps=self.eps, min_pts=self.min_pts)
         self.device = self.device or RTDevice()
         self.backend = str(self.backend).lower()
-        from ..api.registry import get_backend
-
-        if not get_backend(self.backend).exact:
-            raise ValueError(
-                f"the tiled pipeline requires an exact neighbour backend, got "
-                f"{self.backend!r}; run approximate backends through 'rt-dbscan'"
-            )
         if isinstance(self.tiles, str):
             if self.tiles != "auto":
                 raise ValueError(f"tiles must be a positive integer or 'auto', got {self.tiles!r}")
@@ -266,17 +252,13 @@ class TiledRTDBSCAN(ClustererMixin):
         return int(self.tiles)
 
     def _backend_kwargs(self) -> dict:
-        if self.backend == "rt":
-            kwargs = {
-                "builder": self.builder,
-                "leaf_size": self.leaf_size,
-                "chunk_size": self.chunk_size,
-            }
-        else:
-            kwargs = {}
-        if self.backend_kwargs:
-            kwargs.update(self.backend_kwargs)
-        return kwargs
+        if self.backend != "rt":
+            return {}
+        return {
+            "builder": self.builder,
+            "leaf_size": self.leaf_size,
+            "chunk_size": self.chunk_size,
+        }
 
     def _make_jobs(self, pts3: np.ndarray, tiles) -> list[TileJob]:
         return [

@@ -29,7 +29,7 @@ class ServiceConfig:
     ----------
     spec:
         Clusterer template instantiated once per tenant session.  Must
-        resolve to ``streaming-rt-dbscan`` (any exact ``@backend``);
+        resolve to ``streaming-rt-dbscan`` (any ``@backend``);
         window/policy/etc. travel in ``spec.params``.  Unless the spec sets
         ``initial_capacity``, each session's slot buffer is sized from the
         tenant's first chunk with

@@ -150,10 +150,10 @@ class StreamingRTDBSCAN(ClustererMixin):
         driven ``"auto"``).
     backend:
         Window-query substrate: ``"rt"`` (default) maintains the ε-sphere
-        BVH scene on the simulated RT device; any exact registered host
-        backend (``"grid"``, ``"kdtree"``, ``"brute"``) answers the same
-        queries through :class:`~repro.streaming.scene.HostStreamingScene`
-        with bit-identical labels.  Approximate backends are refused.
+        BVH scene on the simulated RT device; any registered host backend
+        (``"grid"``, ``"kdtree"``, ``"brute"``) answers the same queries
+        through :class:`~repro.streaming.scene.HostStreamingScene` with
+        bit-identical labels.
     builder, leaf_size, chunk_size, initial_capacity:
         Scene parameters forwarded to :class:`StreamingScene`; a caller that
         knows its feed sizes ``initial_capacity`` with
@@ -213,14 +213,7 @@ class StreamingRTDBSCAN(ClustererMixin):
             )
         else:
             # Host substrates answer window queries through the registered
-            # neighbour backends.  Only exact backends qualify: the engine's
-            # cached counts are maintained by *incremental deltas*, so an
-            # approximate candidate sweep would silently corrupt them.
-            if not get_backend(self.backend).exact:
-                raise ValueError(
-                    f"streaming-rt-dbscan requires an exact neighbour backend; "
-                    f"{self.backend!r} is approximate"
-                )
+            # neighbour backends.
             self.scene = HostStreamingScene(
                 eps,
                 self.device,

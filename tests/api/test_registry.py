@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from repro.api.registry import (
     resolve_algorithm,
 )
 from repro.data.synthetic import make_blobs
+from repro.dbscan.rt_dbscan import RTDBSCAN
+from repro.partition.tiled import TiledRTDBSCAN
 
 
 @pytest.fixture()
@@ -103,6 +108,37 @@ class TestRegistryRoundTrip:
     def test_at_spelling_unknown_backend_raises(self):
         with pytest.raises(KeyError):
             resolve_algorithm("rt-dbscan@octree")
+
+
+class TestExactBackendsOnly:
+    """Every registered backend is exact; the approximate tier's names are gone."""
+
+    def test_registry_holds_exactly_the_four_backends(self):
+        assert list_backends() == ["brute", "grid", "kdtree", "rt"]
+
+    @pytest.mark.parametrize("name", ["lsh", "sampled"])
+    def test_approximate_backend_names_are_unknown(self, name):
+        with pytest.raises(KeyError, match="unknown neighbour backend"):
+            get_backend(name)
+        with pytest.raises(KeyError):
+            ClustererSpec(algo=f"rt-dbscan@{name}", eps=0.5).resolve()
+
+    def test_approximate_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.neighbors.approx")
+
+    def test_backend_entries_carry_no_exactness_metadata(self):
+        fields = {f.name for f in dataclasses.fields(reg.BackendEntry)}
+        assert not fields & {"exact", "knobs"}
+
+    @pytest.mark.parametrize("cls", [RTDBSCAN, TiledRTDBSCAN], ids=lambda c: c.__name__)
+    def test_clusterers_take_no_backend_kwargs(self, cls):
+        with pytest.raises(TypeError, match="backend_kwargs"):
+            cls(eps=0.5, min_pts=5, backend_kwargs={})
+
+    def test_facade_takes_no_reference(self, blobs):
+        with pytest.raises(TypeError, match="reference"):
+            repro.cluster(blobs, eps=0.5, min_pts=5, reference=True)
 
 
 class TestClustererSpec:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.registry import make_backend
 from repro.data.synthetic import make_blobs
-from repro.dbscan.formation import form_clusters_csr
 from repro.dbscan.rt_dbscan import RTDBSCAN, rt_dbscan
 from repro.native import dispatch
 from repro.partition import TiledRTDBSCAN
@@ -64,22 +62,6 @@ class TestRefit:
         refit = fitted.refit(12)
         fresh = rt_dbscan(blobs, eps=0.4, min_pts=12)
         np.testing.assert_array_equal(refit.labels, fresh.labels)
-
-    def test_refit_from_an_approximate_backend(self, blobs):
-        """Approximate counts size nothing: the exact core rows are filled."""
-        fitted = RTDBSCAN(eps=0.4, min_pts=5, backend="sampled").fit(blobs)
-        refit = fitted.refit(8)
-        core = fitted.neighbor_counts >= 8
-        exact = make_backend("brute", blobs, 0.4)
-        try:
-            indptr, indices, _ = exact.neighbor_csr()
-        finally:
-            exact.release()
-        assert (np.diff(indptr)[core] != fitted.neighbor_counts[core]).any()
-        np.testing.assert_array_equal(
-            refit.labels, form_clusters_csr(indptr, indices, core).labels
-        )
-        np.testing.assert_array_equal(refit.refit(5).core_mask, fitted.core_mask)
 
     @pytest.mark.skipif(not dispatch.available(), reason="native kernel tier unavailable")
     def test_refit_fills_only_new_core_rows(self, fitted, monkeypatch):

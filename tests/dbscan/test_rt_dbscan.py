@@ -182,7 +182,7 @@ class TestRTDBSCANInstrumentation:
         assert dev.total_counts.sm_node_visits == 0
         assert dev.total_counts.union_ops > 0
 
-    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute", "lsh", "sampled"])
+    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute"])
     def test_stage_two_charged_as_the_full_relaunch(self, blob_points, backend):
         """Stage 2 fills only the core rows but is charged the paper's whole second launch."""
         dev = RTDevice()

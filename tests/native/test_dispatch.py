@@ -148,10 +148,9 @@ class TestFailedBuildFallsBack:
 
 class TestRegistryMetadata:
     def test_native_capable_backends_are_tagged(self):
-        # Since the parallel-tier PR every registered backend has a compiled
-        # implementation of its hot loop (kdtree via the shared BVH DFS, lsh
-        # via the pair-confirm kernel, sampled via the brute block sweep).
-        for name in ("rt", "grid", "brute", "kdtree", "lsh", "sampled"):
+        # Every registered backend has a compiled implementation of its hot
+        # loop (kdtree via the shared BVH DFS).
+        for name in ("rt", "grid", "brute", "kdtree"):
             assert get_backend(name).native, name
 
     def test_native_capable_algorithms_are_tagged(self):

@@ -28,9 +28,7 @@ MIN_PTS = 8
 
 @pytest.mark.skipif(not dispatch.available(), reason="native kernel tier unavailable")
 class TestFallbackIsExact:
-    @pytest.mark.parametrize(
-        "backend", ("grid", "brute", "rt", "kdtree", "lsh", "sampled")
-    )
+    @pytest.mark.parametrize("backend", ("grid", "brute", "rt", "kdtree"))
     def test_env_disabled_matches_native(self, monkeypatch, backend):
         pts = generate("blobs", 700, seed=11)
         eps = calibrate_eps(pts, MIN_PTS, 0.30)

@@ -31,11 +31,8 @@ from repro.partition.tiled import TiledRTDBSCAN
 from repro.streaming import RefitPolicy, StreamingScene
 from repro.streaming.engine import StreamingRTDBSCAN
 
-#: Exact native-capable backends: valid in every pipeline (incl. tiled).
+#: Every registered backend is native-capable and valid in every pipeline.
 NATIVE_BACKENDS = ("grid", "brute", "rt", "kdtree")
-#: The approximate tier is native-capable too, but the tiled pipeline
-#: refuses inexact backends, so it only joins the monolithic/CSR matrices.
-ALL_NATIVE_BACKENDS = NATIVE_BACKENDS + ("lsh", "sampled")
 MIN_PTS = 8
 
 pytestmark = pytest.mark.skipif(
@@ -81,7 +78,7 @@ def record_kernel_calls(monkeypatch) -> list[tuple[int, int]]:
 
 
 class TestMonolithicParity:
-    @pytest.mark.parametrize("backend", ALL_NATIVE_BACKENDS)
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
     def test_labels_and_counts_identical(self, dataset, backend):
         _, pts, eps = dataset
         numpy_r = RTDBSCAN(eps=eps, min_pts=MIN_PTS, backend=backend, native=False).fit(pts)
@@ -204,7 +201,7 @@ class TestStreamingParity:
 class TestBackendCsrParity:
     """The raw neighbour surface: byte-identical canonical CSR per backend."""
 
-    @pytest.mark.parametrize("backend", ALL_NATIVE_BACKENDS)
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
     def test_self_query_csr(self, dataset, backend):
         _, pts, eps = dataset
         per_tier = {}
@@ -225,7 +222,7 @@ class TestBackendCsrParity:
         assert cs0.counts.as_dict() == cs1.counts.as_dict()
         assert qs0.counts.as_dict() == qs1.counts.as_dict()
 
-    @pytest.mark.parametrize("backend", ALL_NATIVE_BACKENDS)
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
     def test_external_query_csr(self, dataset, backend):
         _, pts, eps = dataset
         queries = pts[::3] + eps / 7.0  # off-lattice external query points

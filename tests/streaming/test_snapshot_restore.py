@@ -159,12 +159,6 @@ class TestValidation:
 
 
 class TestBackendSelection:
-    def test_approximate_backend_refused(self):
-        # Incremental count deltas assume exact neighbourhoods; an
-        # approximate backend would silently corrupt promotion/demotion.
-        with pytest.raises(ValueError, match="exact"):
-            StreamingRTDBSCAN(eps=0.3, min_pts=5, backend="lsh")
-
     @pytest.mark.parametrize("backend", ["grid", "kdtree", "brute"])
     def test_host_backends_match_rt_labels(self, backend):
         chunks = make_chunks(seed=31, n_chunks=6)

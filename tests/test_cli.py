@@ -83,40 +83,6 @@ class TestClusterCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestApproximateCluster:
-    def test_lsh_reports_agreement_by_default(self, capsys):
-        assert main(CLUSTER_SMALL + ["--backend", "lsh", "--recall-target", "0.9"]) == 0
-        out = capsys.readouterr().out
-        assert "Agreement vs exact reference" in out
-        assert "rt-dbscan@kdtree" in out  # the default reference
-
-    def test_reference_none_disables_agreement(self, capsys):
-        rc = main(CLUSTER_SMALL + ["--backend", "lsh", "--reference", "none"])
-        assert rc == 0
-        assert "Agreement" not in capsys.readouterr().out
-
-    def test_json_carries_agreement_block(self, capsys):
-        rc = main(CLUSTER_SMALL + [
-            "--backend", "sampled", "--sample-rate", "0.6",
-            "--reference", "rt-dbscan@brute", "--json",
-        ])
-        assert rc == 0
-        record = json.loads(capsys.readouterr().out)
-        agreement = record["extra"]["agreement"]
-        assert agreement["reference_backend"] == "brute"
-        assert 0.0 <= agreement["ari"] <= 1.0
-        assert record["extra"]["backend_kwargs"] == {"sample_rate": 0.6}
-
-    def test_exact_backend_skips_reference_run(self, capsys):
-        assert main(CLUSTER_SMALL + ["--backend", "kdtree"]) == 0
-        assert "Agreement" not in capsys.readouterr().out
-
-    def test_knob_on_exact_backend_errors(self, capsys):
-        rc = main(CLUSTER_SMALL + ["--backend", "grid", "--recall-target", "0.8"])
-        assert rc == 2
-        assert "recall_target" in capsys.readouterr().err
-
-
 class TestStreamCommand:
     ARGS = [
         "stream", "--stream", "drift-blobs", "--chunks", "3",
@@ -170,23 +136,6 @@ class TestExperimentCommand:
             "rt-dbscan@brute", "rt-dbscan@grid", "rt-dbscan@kdtree", "rt-dbscan",
         }
 
-    def test_approx_experiment_prints_agreement_table(self, capsys):
-        assert main(["experiment", "approx", "--scale", "0.25"]) == 0
-        out = capsys.readouterr().out
-        assert "Speedup vs agreement" in out
-        assert "rt-dbscan@lsh" in out
-        assert "recall_target=1" in out
-
-    def test_approx_experiment_json_records_agreement(self, capsys):
-        assert main(["experiment", "approx", "--scale", "0.25", "--json"]) == 0
-        records = json.loads(capsys.readouterr().out)
-        assert all(r["status"] == "ok" for r in records)
-        with_agreement = [r for r in records if r["extra"].get("agreement")]
-        assert len(with_agreement) == 8  # 4 lsh knobs + 4 sampled knobs
-        full = [r for r in with_agreement
-                if r["extra"].get("backend_kwargs", {}).get("recall_target") == 1.0]
-        assert full and all(r["extra"]["agreement"]["ari"] == 1.0 for r in full)
-
 
 class TestListCommand:
     def test_lists_every_registry(self, capsys):
@@ -199,18 +148,43 @@ class TestListCommand:
         assert "[backends, tiles, native]" in out
         assert "scaling" in out
 
-    def test_approximate_backends_are_tagged(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "lsh" in out and "sampled" in out
-        # The approx tier is also native-capable since the parallel-tier PR.
-        assert "[approximate, native]" in out
-
     def test_native_capable_entries_are_tagged(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "[backends, native]" in out   # rt-dbscan
         assert "[native]" in out             # rt / grid / brute backends
+
+
+class TestExactBackendsOnly:
+    """Only exact neighbour backends exist; approximate-tier options are usage errors."""
+
+    def test_list_names_exactly_the_four_backends(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        section = out.split("neighbour backends")[1].split("experiments:")[0]
+        names = [line.split()[0] for line in section.splitlines()[1:] if line.strip()]
+        assert names == ["brute", "grid", "kdtree", "rt"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            CLUSTER_SMALL + ["--backend", "lsh"],
+            CLUSTER_SMALL + ["--recall-target", "0.9"],
+            ["experiment", "approx"],
+            CLUSTER_SMALL + ["--backend", "sampled"],
+            CLUSTER_SMALL + ["--probes", "4"],
+            CLUSTER_SMALL + ["--sample-rate", "0.5"],
+            CLUSTER_SMALL + ["--reference", "none"],
+        ],
+        ids=[
+            "lsh-backend", "recall-target", "approx-experiment",
+            "sampled-backend", "probes", "sample-rate", "reference",
+        ],
+    )
+    def test_approximate_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestNativeCommand:

@@ -1,24 +1,26 @@
 """Cross-layer equivalence matrix.
 
-THE correctness table of the exact tier, in one place: every exact neighbour
-backend (rt / grid / kdtree / brute) x every execution layer (monolithic,
-tiled with eps-halo merge, streaming eviction-free) must produce labels
-bit-identical to the brute-force oracle on both a clustered synthetic
-dataset and an NGSIM sample.  This table-driven suite replaces the scattered
-per-module copies of the same assertion (previously duplicated in
-tests/neighbors/test_backends.py and tests/partition/test_tiled.py).
-
-The approximate tier (lsh / sampled) is deliberately absent: its contract is
-quantified agreement, not bit-identity — see tests/neighbors/test_approx.py
-and tests/properties/test_approx_monotonic.py.
+THE correctness table, in one place: every neighbour backend (rt / grid /
+kdtree / brute) x every execution layer (monolithic, tiled with eps-halo
+merge, streaming eviction-free, streaming restored mid-feed from a JSON
+snapshot, refit from another minPts) must produce labels, core flags and
+neighbour counts bit-identical to the brute-force oracle.  The datasets are
+a clustered synthetic set, an NGSIM sample, and four edge cases: pairs
+exactly ε apart, coincident points on both sides of the core threshold, a
+3-D set, and a sparse set with no core point at all.  This table-driven
+suite replaces the scattered per-module copies of the same assertion
+(previously duplicated in tests/neighbors/test_backends.py and
+tests/partition/test_tiled.py).
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.api.registry import get_backend, list_backends
+from repro.api.registry import list_backends
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.data.synthetic import make_blobs, make_uniform_noise
@@ -30,13 +32,15 @@ from repro.streaming import StreamingRTDBSCAN
 EXACT_BACKENDS = ("rt", "grid", "kdtree", "brute")
 MIN_PTS = 8
 
-#: every (layer, backend) cell of the matrix; the streaming engine is
-#: hard-wired to the rt scene, so it contributes a single cell.
+#: every (layer, backend) cell of the matrix.
 CELLS = (
     [("monolithic", b) for b in EXACT_BACKENDS]
     + [("tiled", b) for b in EXACT_BACKENDS]
-    + [("streaming", "rt")]
+    + [("streaming", b) for b in EXACT_BACKENDS]
+    + [("restore", b) for b in EXACT_BACKENDS]
+    + [("refit", b) for b in EXACT_BACKENDS]
 )
+DATASETS = ["blobs", "ngsim", "eps-boundary", "duplicates", "blobs-3d", "sparse"]
 
 
 def eps_boundary_points(eps: float) -> np.ndarray:
@@ -44,6 +48,17 @@ def eps_boundary_points(eps: float) -> np.ndarray:
     offsets = np.array([[eps, 0.0], [-eps, 0.0], [0.0, eps], [0.0, -eps]])
     centres = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
     return np.vstack([np.vstack([c, np.repeat(c + offsets, 3, axis=0)]) for c in centres])
+
+
+def duplicate_points() -> np.ndarray:
+    """Every point of two blobs twice, plus two far stacks of coincident points.
+
+    A point's count excludes itself, so the stack of ``MIN_PTS`` copies stays
+    noise and the stack of ``MIN_PTS + 1`` copies is one all-core cluster.
+    """
+    pts, _ = make_blobs(150, centers=np.array([[0.0, 0.0], [3.0, 0.0]]), std=0.2, seed=12)
+    stacks = [np.repeat([[x, 10.0]], k, axis=0) for x, k in ((0.0, MIN_PTS), (5.0, MIN_PTS + 1))]
+    return np.vstack([np.repeat(pts, 2, axis=0), *stacks])
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +69,20 @@ def datasets(boundary_eps):
     noise = make_uniform_noise(70, low=-2.0, high=6.0, dim=2, seed=8)
     blobs = np.vstack([pts, noise])
     ngsim = generate("ngsim", 1000, seed=2023)
+    blobs_3d, _ = make_blobs(
+        600, centers=np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.5, 3.0, 1.0]]),
+        std=0.3, seed=13,
+    )
+    noise_3d = make_uniform_noise(60, low=-2.0, high=5.0, dim=3, seed=14)
     return {
         "blobs": (blobs, 0.3),
         "ngsim": (ngsim, calibrate_eps(ngsim, MIN_PTS, 0.30)),
         # Pairs exactly ε apart: each centre is core only if its 12 offset
         # copies count as neighbours.
         "eps-boundary": (eps_boundary_points(boundary_eps), boundary_eps),
+        "duplicates": (duplicate_points(), 0.2),
+        "blobs-3d": (np.vstack([blobs_3d, noise_3d]), 0.4),
+        "sparse": (make_uniform_noise(300, low=0.0, high=100.0, dim=2, seed=15), 0.5),
     }
 
 
@@ -77,11 +100,21 @@ def _fit(layer: str, backend: str, pts: np.ndarray, eps: float):
         return RTDBSCAN(eps=eps, min_pts=MIN_PTS, backend=backend).fit(pts)
     if layer == "tiled":
         return TiledRTDBSCAN(eps=eps, min_pts=MIN_PTS, backend=backend, tiles=5).fit(pts)
-    assert layer == "streaming"
+    if layer == "refit":
+        fitted = RTDBSCAN(eps=eps, min_pts=MIN_PTS + 4, backend=backend).fit(pts)
+        return fitted.refit(MIN_PTS)
     # Eviction-free feed: no window, so the final state covers every point
-    # and must equal the batch labelling exactly.
-    engine = StreamingRTDBSCAN(eps=eps, min_pts=MIN_PTS)
-    for lo in range(0, pts.shape[0], 250):
+    # and must equal the batch labelling exactly.  The restore layer swaps
+    # the engine for one rebuilt from its JSON snapshot halfway through.
+    engine = StreamingRTDBSCAN(eps=eps, min_pts=MIN_PTS, backend=backend)
+    half = pts.shape[0] // 2
+    for lo in range(0, half, 250):
+        engine.update(pts[lo : min(lo + 250, half)])
+    if layer == "restore":
+        engine = StreamingRTDBSCAN.restore(json.loads(json.dumps(engine.snapshot())))
+    else:
+        assert layer == "streaming"
+    for lo in range(half, pts.shape[0], 250):
         engine.update(pts[lo : lo + 250])
     return engine.result()
 
@@ -91,8 +124,14 @@ class TestEquivalenceMatrix:
         assert references["blobs"].num_clusters >= 3
         assert references["blobs"].num_noise > 0
         assert references["eps-boundary"].num_clusters == 3
+        dup = references["duplicates"]
+        assert dup.num_clusters == 3
+        assert not dup.core_mask[-2 * MIN_PTS - 1 : -MIN_PTS - 1].any()
+        assert dup.core_mask[-MIN_PTS - 1 :].all()
+        assert references["blobs-3d"].num_clusters >= 3
+        assert references["sparse"].num_noise == 300
 
-    @pytest.mark.parametrize("data", ["blobs", "ngsim", "eps-boundary"])
+    @pytest.mark.parametrize("data", DATASETS)
     @pytest.mark.parametrize(
         "layer,backend", CELLS, ids=[f"{layer}-{backend}" for layer, backend in CELLS]
     )
@@ -108,7 +147,6 @@ class TestEquivalenceMatrix:
         assert report.equivalent, report.as_dict()
         assert report.ari == 1.0
 
-    def test_matrix_covers_every_registered_exact_backend(self):
-        """New exact backends must be added to this table."""
-        exact = {b for b in list_backends() if get_backend(b).exact}
-        assert exact == set(EXACT_BACKENDS)
+    def test_matrix_covers_every_registered_backend(self):
+        """New backends must be added to this table."""
+        assert set(list_backends()) == set(EXACT_BACKENDS)
