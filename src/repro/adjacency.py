@@ -28,6 +28,9 @@ __all__ = [
     "expand_ranges",
     "concat_csr",
     "point_rows",
+    "seeded_csr",
+    "check_row_counts",
+    "drop_self_hits",
 ]
 
 
@@ -106,3 +109,44 @@ def point_rows(rows, num_points: int) -> np.ndarray:
     if rows.min() < 0 or rows.max() >= num_points:
         raise ValueError(f"rows must be point ids in [0, {num_points})")
     return np.ascontiguousarray(rows, dtype=np.int64)
+
+
+def seeded_csr(row_counts, num_rows: int) -> dict:
+    """``indptr`` and an unfilled ``indices`` sized by known per-row hit counts.
+
+    A fill pass handed these buffers writes at most ``row_counts[i]`` ids
+    into row ``i``, then reports its real hits to :func:`check_row_counts`.
+    Returned as the ``indptr=`` / ``indices=`` keywords of the native kernels.
+    """
+    row_counts = np.asarray(row_counts, dtype=np.int64)
+    if row_counts.shape != (num_rows,) or (row_counts < 0).any():
+        raise ValueError("row_counts must hold one non-negative count per query")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    return {"indptr": indptr, "indices": np.empty(int(indptr[-1]), dtype=np.intp)}
+
+
+def check_row_counts(hits: np.ndarray, row_counts) -> None:
+    """Raise ``ValueError`` unless a seeded fill found ``row_counts`` hits per row."""
+    if not np.array_equal(hits, row_counts):
+        raise ValueError("row_counts differ from the launch's hit counts")
+
+
+def drop_self_hits(
+    rows: np.ndarray, counts: np.ndarray, indices: np.ndarray, row_counts=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each external query's own id from a sweep's CSR rows.
+
+    Row ``i`` holds the ``counts[i]`` hits of a query at point ``rows[i]``,
+    which finds itself exactly once at distance zero, duplicates included;
+    dropping that id is the paper's ``q != s`` filter.  ``row_counts``, when
+    given, are checked first: every row must hold ``row_counts[i]``
+    neighbours plus the query itself.
+    """
+    if row_counts is not None:
+        check_row_counts(counts, np.asarray(row_counts) + 1)
+    row_of = np.repeat(np.arange(rows.size, dtype=np.intp), counts)
+    keep = indices != rows[row_of]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of[keep], minlength=rows.size), out=indptr[1:])
+    return indptr, indices[keep]

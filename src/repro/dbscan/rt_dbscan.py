@@ -15,8 +15,8 @@ the simulated RT device):
 
 Only the core rows of stage 2 are read, so the host fills only those: the
 backend's ``neighbor_csr(rows=core_ids, row_counts=...)`` sizes them from the
-stage-1 counts, and a sphere launch then runs one fill pass over the core
-points.  The simulated device is still charged the paper's full relaunch,
+stage-1 counts, and a sphere launch or the grid then runs one fill pass over
+the core points.  The simulated device is still charged the paper's full relaunch,
 as the stage-1 launch's counts a second time (a count launch and a CSR
 launch charge identical operations), so phase counts and simulated seconds
 match a full second pass exactly.  Triangle mode keeps its deduplicated

@@ -21,7 +21,9 @@
  *
  * Kernels run in two passes (count, then fill into a caller-cumsum'd indptr)
  * so that all allocation stays on the numpy side; a NULL ``indptr`` selects
- * the counting pass.  When the compiler lacks -fopenmp the pragmas vanish
+ * the counting pass.  The grid and BVH kernels cap each row's writes at its
+ * indptr slice, so a caller that already holds the row counts runs the fill
+ * pass alone.  When the compiler lacks -fopenmp the pragmas vanish
  * and every kernel degrades to the identical serial loop (the build layer
  * also retries without the flag, so a serial-C tier always exists).
  */
@@ -68,6 +70,10 @@ static int cmp_i64(const void *pa, const void *pb)
 /* aligned, already gathered into cell order), so the inner distance loop  */
 /* streams three contiguous arrays instead of chasing ``order`` through    */
 /* an AoS points array; ``order`` is only read to emit the candidate id.   */
+/*                                                                         */
+/* Fill mode writes at most indptr[i+1] - indptr[i] ids per row, as        */
+/* repro_bvh_sphere does, so an indptr seeded from counts the caller       */
+/* already holds can never write out of bounds.                            */
 /* ---------------------------------------------------------------------- */
 
 static int64_t cell_lookup(const int64_t *cell_table, int64_t ncells, int64_t nid)
@@ -116,6 +122,7 @@ void repro_grid_scan(
         }
         int64_t nhits = 0;
         const int64_t base = indptr ? indptr[i] : 0;
+        const int64_t cap = indptr ? indptr[i + 1] - base : 0;
         const double qx = q[0], qy = q[1], qz = q[2];
         for (int64_t ox = -1; ox <= 1; ++ox) {
             const int64_t x = c[0] + ox;
@@ -144,7 +151,7 @@ void repro_grid_scan(
                             const int64_t cand = order[j];
                             if (self_query && cand == i)
                                 continue;
-                            if (indices)
+                            if (indices && nhits < cap)
                                 indices[base + nhits] = cand;
                             ++nhits;
                         }
@@ -154,8 +161,9 @@ void repro_grid_scan(
         }
         if (row_counts)
             row_counts[i] = nhits;
-        if (indices && nhits > 1)
-            qsort(indices + base, (size_t)nhits, sizeof(int64_t), cmp_i64);
+        const int64_t written = nhits < cap ? nhits : cap;
+        if (indices && written > 1)
+            qsort(indices + base, (size_t)written, sizeof(int64_t), cmp_i64);
     }
     if (candidates_out)
         *candidates_out = candidates;

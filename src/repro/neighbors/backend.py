@@ -12,9 +12,9 @@ with the dataset's own points as the default queries and self pairs excluded
 ``neighbor_csr(rows=core_ids, row_counts=counts[core_ids])``: only the core
 points' rows, which is all cluster formation reads.  Those rows equal the
 matching rows of ``neighbor_csr()`` byte for byte; the sphere launches (rt,
-kdtree) size them from the stage-1 counts and run one fill pass, and the
-fill charges the device nothing, because the caller charges the paper's
-stage-2 relaunch itself.  Every backend produces the CSR
+kdtree) and the grid size them from the stage-1 counts and run one fill
+pass, and the fill charges the device nothing, because the caller charges
+the paper's stage-2 relaunch itself.  Every backend produces the CSR
 **chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
 never materialised as an intermediate; peak memory is one block's candidate
 working set plus the adjacency itself.
@@ -37,7 +37,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import expand_ranges, point_rows
+from ..adjacency import drop_self_hits, expand_ranges, point_rows, seeded_csr
 from ..api.registry import register_backend
 from ..geometry.transforms import ensure_points3d
 from ..native import dispatch as native_dispatch
@@ -221,18 +221,18 @@ class _HostNeighborBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The CSR rows of dataset points ``rows``, their own ids dropped.
 
-        ``points[rows]`` are swept as external queries, which find each
-        point itself at distance zero; dropping the id ``rows[i]`` from row
-        ``i`` is the paper's ``q != s`` index filter.  A host sweep has no
-        count pass to skip, so ``row_counts`` go unused.
+        ``points[rows]`` are swept as external queries, and
+        :func:`~repro.adjacency.drop_self_hits` drops each one's own id
+        (the paper's ``q != s`` filter).  Given ``row_counts``, every row
+        must hold exactly that many neighbours, or ``ValueError`` is
+        raised.  The grid seeds its native fill with them; ``brute`` keeps
+        its count pass, because it is the oracle and its blocked sweep
+        (:func:`~repro.neighbors.brute.pairwise_within_blocks`) serves other
+        callers too.
         """
         counts, parts, _, _ = self._scan(self.points[rows], False, collect=True)
         indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-        row_of = np.repeat(np.arange(rows.size, dtype=np.intp), counts)
-        keep = indices != rows[row_of]
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_of[keep], minlength=rows.size), out=indptr[1:])
-        return indptr, indices[keep]
+        return drop_self_hits(rows, counts, indices, row_counts)
 
     def release(self) -> None:
         """Free the simulated device-side index."""
@@ -313,6 +313,19 @@ class GridNeighborBackend(_HostNeighborBackend):
             )
         return self._soa
 
+    def _grid_scan(self, nk, qpts, self_query, **buffers):
+        """One native stencil pass (count, or fill into ``buffers``).
+
+        Returns the charged candidate total, or ``None`` when the kernel
+        declines the arrays and the numpy sweep must run instead.
+        """
+        grid = self.grid
+        return nk.grid_scan(
+            qpts, self._grid_soa(), grid.order, grid.cell_table, grid.cell_indptr,
+            grid.origin, grid.cell_size, grid.dims,
+            self.radius * self.radius, self_query, **buffers,
+        )
+
     def _scan_native(self, qpts, self_query, collect):
         """The stencil sweep on the native tier (or ``None`` to use numpy).
 
@@ -323,29 +336,33 @@ class GridNeighborBackend(_HostNeighborBackend):
         nk = native_dispatch.kernels()
         if nk is None:
             return None
-        grid = self.grid
-        soa = self._grid_soa()
         qpts = np.ascontiguousarray(qpts)
         row_counts = np.zeros(qpts.shape[0], dtype=np.int64)
-        candidates = nk.grid_scan(
-            qpts, soa, grid.order, grid.cell_table, grid.cell_indptr,
-            grid.origin, grid.cell_size, grid.dims,
-            self.radius * self.radius, self_query, row_counts=row_counts,
-        )
+        candidates = self._grid_scan(nk, qpts, self_query, row_counts=row_counts)
         if candidates is None:
             return None
         if not collect:
             return row_counts, None, candidates, 0
-        indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.intp)
-        nk.grid_scan(
-            qpts, soa, grid.order, grid.cell_table, grid.cell_indptr,
-            grid.origin, grid.cell_size, grid.dims,
-            self.radius * self.radius, self_query,
-            indptr=indptr, indices=indices,
-        )
-        return row_counts, [indices], candidates, 0
+        csr = seeded_csr(row_counts, qpts.shape[0])
+        self._grid_scan(nk, qpts, self_query, **csr)
+        return row_counts, [csr["indices"]], candidates, 0
+
+    def _fill_rows(self, rows, row_counts):
+        """Given the rows' counts, one native fill pass sized by ``row_counts + 1``.
+
+        Each query finds itself once, so its sweep row is one longer than
+        its neighbour count; the kernel caps every row's writes at that
+        size and reports its real hits, which
+        :func:`~repro.adjacency.drop_self_hits` checks.
+        """
+        nk = native_dispatch.kernels()
+        if row_counts is not None and nk is not None:
+            qpts = self.points[rows]
+            csr = seeded_csr(np.asarray(row_counts) + 1, rows.size)
+            hits = np.zeros(rows.size, dtype=np.int64)
+            if self._grid_scan(nk, qpts, False, row_counts=hits, **csr) is not None:
+                return drop_self_hits(rows, hits, csr["indices"], row_counts)
+        return super()._fill_rows(rows, row_counts)
 
     def _scan(self, qpts, self_query, collect):
         native = self._scan_native(qpts, self_query, collect)

@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..adjacency import check_row_counts, seeded_csr
 from ..bvh.traversal import TraversalStats, point_query_counts_early_exit, point_query_csr
 from ..native import dispatch as native_dispatch
 
 __all__ = ["SphereProgram", "launch_sphere"]
-
-_SEED_MISMATCH = "row_counts differ from the launch's hit counts"
 
 
 @dataclass
@@ -123,7 +122,7 @@ def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: b
         counts = np.zeros(nq, dtype=np.int64)
         stats = np.zeros(5, dtype=np.int64)
         # Known row counts size the CSR up front, so the first pass fills it.
-        csr = _csr_buffers(row_counts, nq) if seeded else {}
+        csr = seeded_csr(row_counts, nq) if seeded else {}
         if nk.bvh_sphere(*args, row_counts=counts, stats=stats, **csr, **filters):
             node_visits, leaf_visits, candidates, confirmed, levels = map(int, stats)
             traversal = TraversalStats(
@@ -132,26 +131,16 @@ def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: b
             )
             if not collect:
                 return counts, traversal
-            if not seeded:
-                csr = _csr_buffers(counts, nq)
+            if seeded:
+                check_row_counts(counts, row_counts)
+            else:
+                csr = seeded_csr(counts, nq)
                 nk.bvh_sphere(*args, **csr, **filters)
-            elif not np.array_equal(counts, row_counts):
-                raise ValueError(_SEED_MISMATCH)
             return csr["indptr"], csr["indices"], traversal
     confirm = program.confirm(points)
     if not collect:
         return point_query_counts_early_exit(bvh, points, confirm, chunk_size=chunk_size)
     indptr, indices, traversal = point_query_csr(bvh, points, confirm, chunk_size=chunk_size)
-    if seeded and not np.array_equal(np.diff(indptr), row_counts):
-        raise ValueError(_SEED_MISMATCH)
+    if seeded:
+        check_row_counts(np.diff(indptr), row_counts)
     return indptr, indices, traversal
-
-
-def _csr_buffers(row_counts: np.ndarray, nq: int) -> dict:
-    """``indptr`` and an unfilled ``indices`` sized by per-row hit counts."""
-    row_counts = np.asarray(row_counts, dtype=np.int64)
-    if row_counts.shape != (nq,) or (row_counts < 0).any():
-        raise ValueError("row_counts must hold one non-negative count per query")
-    indptr = np.zeros(nq + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    return {"indptr": indptr, "indices": np.empty(int(indptr[-1]), dtype=np.intp)}

@@ -27,6 +27,14 @@ update can actually change:
   stays incremental; this is the paper's "recompute rather than store"
   trade applied to the streaming setting).
 
+* **Cached counts size the queries.**  The evicted points' rays, the
+  promoted points' rays and the re-clustering rays all start from slots
+  whose cached count is exact at launch time, so each passes it to the
+  scene as ``row_counts`` and fills its CSR in one traversal (Algorithm 3
+  sizes its stage-2 output from the stage-1 counts the same way).  Only
+  the new points' rays, whose counts are what they measure, run a count
+  pass first.
+
 Scene maintenance (refit vs rebuild) is delegated to
 :class:`~repro.streaming.scene.StreamingScene` and its
 :class:`~repro.streaming.policy.RefitPolicy`; every launch, refit, build,
@@ -330,9 +338,18 @@ class StreamingRTDBSCAN(ClustererMixin):
                 evict_slots = live[:overflow]
 
         need_full = False
+        revive_seconds = 0.0
         with timer.phase("evict") as counts:
             if evict_slots.size:
+                if self._released:
+                    # The eviction query needs the scene ``_counts`` describe,
+                    # which release() freed: rebuild it first.
+                    _, revive_seconds, revive_counts = self.scene.commit(self.policy)
+                    counts.merge(revive_counts)
                 need_full = self._evict(evict_slots, counts)
+        if revive_seconds:
+            # A rebuild is priced by the device's build estimate, not its counts.
+            timer.set_last_phase_seconds(self.device.cost_model.time_s(counts) + revive_seconds)
 
         # ------------------------------------------------------------ #
         # Scene maintenance: append spheres, then refit or rebuild.
@@ -380,11 +397,11 @@ class StreamingRTDBSCAN(ClustererMixin):
                 self._forest = ParallelDisjointSet(self.scene.capacity)
                 self._anchor[:] = -1
                 rows = np.flatnonzero(self._core & (self._arrival >= 0))
-                indptr, hits, stats = self.scene.query_csr(rows)
+                indptr, hits, stats = self.scene.query_csr(rows, self._counts[rows])
                 counts.merge(stats.counts)
                 lens = np.diff(indptr)
             elif promoted.size:
-                indptr, hits, stats = self.scene.query_csr(promoted)
+                indptr, hits, stats = self.scene.query_csr(promoted, self._counts[promoted])
                 counts.merge(stats.counts)
                 rows = np.concatenate([new_slots, promoted])
                 lens = np.concatenate([new_lens, np.diff(indptr)])
@@ -437,7 +454,8 @@ class StreamingRTDBSCAN(ClustererMixin):
         cluster structure of the survivors; border and noise evictions just
         decrement cached counts.
         """
-        _, p, stats = self.scene.query_csr(evict_slots)
+        # Runs before this update's slot edits, on the scene ``_counts`` describe.
+        _, p, stats = self.scene.query_csr(evict_slots, self._counts[evict_slots])
         counts.merge(stats.counts)
 
         evicted_core = bool(self._core[evict_slots].any())

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..adjacency import drop_self_hits
 from ..api.registry import make_backend
 from ..geometry.morton import morton3d_30
 from ..geometry.sphere import SphereGeometry
@@ -270,7 +271,9 @@ class StreamingScene:
         self._slot_codes = self._morton(self.centers)
 
     # ------------------------------------------------------------------ #
-    def query_csr(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
+    def query_csr(
+        self, slots: np.ndarray, row_counts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """ε-rays from the given (active) slots, confirmed hits as CSR.
 
         Row ``i`` of the returned ``(indptr, indices)`` adjacency holds the
@@ -278,7 +281,11 @@ class StreamingScene:
         the exact distance test, rejects parked primitives through the
         ``active`` mask, and excludes the self hit through the slot map.
         Runs through the zero-materialisation CSR launch, so the candidate
-        pair set is confirmed chunk-by-chunk inside the traversal.
+        pair set is confirmed chunk-by-chunk inside the traversal.  A caller
+        that holds the slots' exact neighbour counts passes them as
+        ``row_counts``: on the native tier the launch then runs its fill
+        pass alone and charges the same traversal, and on either tier it
+        raises ``ValueError`` if the hits differ from them.
         """
         slots = np.asarray(slots, dtype=np.intp)
         if slots.size == 0:
@@ -286,7 +293,9 @@ class StreamingScene:
         if self.pipeline is None:
             raise RuntimeError("commit() must run before querying the scene")
         program = SphereProgram(self.centers, self.eps, self_map=slots, active=self.active)
-        return self.pipeline.launch_csr_queries(self.centers[slots], program)
+        return self.pipeline.launch_csr_queries(
+            self.centers[slots], program, row_counts=row_counts
+        )
 
     def release(self) -> None:
         """Free the device-side scene."""
@@ -368,7 +377,9 @@ class HostStreamingScene(StreamingScene):
         self.build_prims_total += int(slots.size)
         return "rebuild", self._backend.build_seconds, OpCounts(kernel_launches=1)
 
-    def query_csr(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
+    def query_csr(
+        self, slots: np.ndarray, row_counts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """External ε-queries against the committed index, self hits removed.
 
         The backend sweep has no notion of identity for external query
@@ -376,7 +387,9 @@ class HostStreamingScene(StreamingScene):
         filtered here — matching the RT scene's ``prim != slots[q]``
         intersection semantics bit-for-bit.  Indices come back in slot space
         (ascending per row: the backend CSR is ascending in index space and
-        the slot map is monotone).
+        the slot map is monotone).  ``row_counts``, when given, must be the
+        returned row lengths, or ``ValueError`` is raised: the contract of
+        :meth:`StreamingScene.query_csr`.
         """
         slots = np.asarray(slots, dtype=np.intp)
         if slots.size == 0:
@@ -391,12 +404,10 @@ class HostStreamingScene(StreamingScene):
                 )
             raise RuntimeError("commit() must run before querying the scene")
         indptr, indices, stats = self._backend.neighbor_csr(self.centers[slots])
-        mapped = self._slot_map[indices]
-        rows = np.repeat(np.arange(slots.size, dtype=np.intp), np.diff(indptr))
-        keep = mapped != slots[rows]
-        out_indptr = np.zeros(slots.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=slots.size), out=out_indptr[1:])
-        return out_indptr, mapped[keep], stats
+        indptr, indices = drop_self_hits(
+            slots, np.diff(indptr), self._slot_map[indices], row_counts
+        )
+        return indptr, indices, stats
 
     def release(self) -> None:
         if self._backend is not None:

@@ -23,6 +23,7 @@ import pytest
 from repro.api.registry import make_backend
 from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
+from repro.data.stream import drift_blob_stream
 from repro.dbscan.rt_dbscan import RTDBSCAN
 from repro.geometry.transforms import ensure_points3d
 from repro.native import dispatch
@@ -249,7 +250,8 @@ class TestSphereLaunchTier:
     ran, so a launch path that silently fell back to numpy would keep every
     parity test above green.  Counting the kernel's calls closes that gap:
     a count launch is one pass, a CSR launch a count pass plus a fill pass,
-    and a CSR launch seeded with its rows' counts the fill pass alone.
+    and a CSR launch seeded with its rows' counts the fill pass alone.  The
+    streaming engine seeds every query but the new points' own.
     """
 
     @pytest.fixture
@@ -324,6 +326,50 @@ class TestSphereLaunchTier:
             scene.query_csr(slots[:100])
             assert len(calls) == 2
         scene.release()
+
+    def test_seeded_streaming_scene_query_is_one_pass(self, dataset, calls):
+        _, pts, eps = dataset
+        scene = StreamingScene(eps)
+        slots = scene.add(ensure_points3d(pts))
+        scene.commit(RefitPolicy())
+        with dispatch.override(False):
+            indptr, hits, stats = scene.query_csr(slots[:100])
+        with dispatch.override(True):
+            seeded = scene.query_csr(slots[:100], row_counts=np.diff(indptr))
+        scene.release()
+        assert calls == [100]
+        assert seeded[0].tobytes() == indptr.tobytes()
+        assert seeded[1].tobytes() == hits.tobytes()
+        assert seeded[2].counts.as_dict() == stats.counts.as_dict()
+
+    def test_window_update_with_a_core_loss_is_four_launches(self, calls):
+        """Evicted rows, new rows (count + fill), then the surviving cores."""
+        engine = StreamingRTDBSCAN(eps=0.3, min_pts=5, window=300, native=True)
+        reclustered = 0
+        for chunk in drift_blob_stream(6, 100, seed=8):
+            calls.clear()
+            update = engine.update(chunk)
+            if update.num_evicted:
+                assert update.reclustered
+                reclustered += 1
+                assert calls == [
+                    update.num_evicted, update.num_new, update.num_new,
+                    int(update.core_mask.sum()),
+                ]
+        assert reclustered == 3
+
+    def test_promotion_only_update_is_three_launches(self, calls):
+        """New rows (count + fill), then the promoted rows' seeded fill."""
+        engine = StreamingRTDBSCAN(eps=0.5, min_pts=2, native=True)
+        engine.update(np.array([[0.0, 0.0], [0.0, 0.1], [0.8, 0.0], [5.0, 5.0]]))
+        assert calls == [4, 4]
+        calls.clear()
+        # The arrival reaches all three left-hand points and lifts the
+        # twins at the origin to two neighbours each.
+        update = engine.update(np.array([[0.4, 0.0]]))
+        assert not update.reclustered
+        assert update.core_mask.tolist() == [True, True, False, False, True]
+        assert calls == [1, 1, 2]
 
     def test_triangle_mode_stays_on_numpy(self, dataset, calls):
         _, pts, eps = dataset

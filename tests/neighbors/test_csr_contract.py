@@ -29,6 +29,7 @@ from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.data.synthetic import make_blobs
 from repro.dbscan.formation import form_clusters_csr
+from repro.dbscan.rt_dbscan import RTDBSCAN
 from repro.native import dispatch
 from repro.rtcore.device import RTDevice
 
@@ -189,10 +190,10 @@ class TestRowsFill:
         assert sub_ptr.tobytes() == ref_ptr.tobytes()
         assert sub_idx.tobytes() == ref_idx.tobytes()
 
-    @pytest.mark.parametrize("name", ["rt", "kdtree"])
+    @pytest.mark.parametrize("name", ["rt", "kdtree", "grid"])
     @pytest.mark.parametrize("native", TIERS)
-    def test_sphere_fill_rejects_wrong_counts(self, blobs, name, native):
-        """A seeded sphere fill checks the counts that sized it."""
+    def test_seeded_fill_rejects_wrong_counts(self, blobs, name, native):
+        """A seeded fill checks the counts that sized it."""
         pts, eps = blobs
         rows = np.arange(0, len(pts), 5)
         with dispatch.override(native):
@@ -206,6 +207,25 @@ class TestRowsFill:
                         backend.neighbor_csr(rows=rows, row_counts=bad)
             finally:
                 backend.release()
+
+    @pytest.mark.skipif(not dispatch.available(), reason="native kernel tier unavailable")
+    def test_grid_fit_fills_its_core_rows_in_one_pass(self, monkeypatch):
+        """Stage 1 counts every point; stage 2 fills the core rows, seeded by those counts."""
+        calls = []
+        original = dispatch.NativeKernels.grid_scan
+
+        def counting(self, *args, **kwargs):
+            mode = "count" if kwargs.get("indices") is None else "fill"
+            calls.append((args[0].shape[0], mode))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch.NativeKernels, "grid_scan", counting)
+        pts = generate("blobs", 3000, seed=0)
+        eps = calibrate_eps(pts, 10, 0.30)
+        with dispatch.override(True):
+            result = RTDBSCAN(eps=eps, min_pts=10, backend="grid").fit(pts)
+        assert int(result.core_mask.sum()) == 900
+        assert calls == [(3000, "count"), (900, "fill")]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_rows_must_be_point_ids(self, blobs, name):

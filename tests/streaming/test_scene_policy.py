@@ -7,11 +7,18 @@ import pytest
 
 from repro.dbscan.disjoint_set import ParallelDisjointSet
 from repro.geometry.sphere import SphereGeometry
+from repro.native import dispatch
 from repro.perf.cost_model import DEFAULT_COST_MODEL, OpCounts
 from repro.rtcore.device import RTDevice
 from repro.rtcore.pipeline import ScenePipeline
 from repro.streaming import RefitPolicy, StreamingScene, feed_capacity
 from repro.streaming.scene import HostStreamingScene
+
+TIERS = [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not dispatch.available(), reason="native kernel tier unavailable")),
+]
 
 
 class TestCostModelRefit:
@@ -187,6 +194,32 @@ class TestStreamingScene:
         }
         assert got == expect
         assert stats.num_rays == 40
+
+    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute"])
+    @pytest.mark.parametrize("native", TIERS)
+    def test_seeded_query_checks_its_row_counts(self, backend, native):
+        """Exact ``row_counts`` change nothing; wrong ones raise on every scene."""
+        pts = np.random.default_rng(7).uniform(0, 2, size=(60, 3))
+        if backend == "rt":
+            scene = StreamingScene(0.5, RTDevice())
+        else:
+            scene = HostStreamingScene(0.5, RTDevice(), backend=backend)
+        slots = scene.add(pts)
+        scene.commit(RefitPolicy())
+        queries = slots[::2]
+        with dispatch.override(native):
+            indptr, hits, stats = scene.query_csr(queries)
+            lens = np.diff(indptr)
+            s_indptr, s_hits, s_stats = scene.query_csr(queries, lens)
+            too_few = lens.copy()
+            too_few[np.argmax(lens)] -= 1  # that row would overrun its slice
+            for bad in (too_few, lens + 1, lens[:-1]):
+                with pytest.raises(ValueError, match="row_counts"):
+                    scene.query_csr(queries, bad)
+        scene.release()
+        assert s_indptr.tobytes() == indptr.tobytes()
+        assert s_hits.tobytes() == hits.tobytes()
+        assert s_stats.counts.as_dict() == stats.counts.as_dict()
 
     def test_empty_query_is_free(self):
         scene = self._scene()

@@ -270,6 +270,23 @@ class TestLifecycle:
         engine.release()
         assert engine.num_releases == 2
 
+    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute"])
+    def test_windowed_update_after_release_rebuilds_the_scene(self, backend):
+        """The eviction query runs before the commit, so it rebuilds the scene itself."""
+        engine = StreamingRTDBSCAN(eps=0.3, min_pts=5, window=400, backend=backend)
+        for seed in range(3):
+            engine.update(_blobs(200, seed=seed))
+        engine.release()
+        update = engine.update(_blobs(200, seed=3))
+        assert update.num_evicted == 200 and not engine.released
+        ref = rt_dbscan(engine.window_points, eps=0.3, min_pts=5)
+        np.testing.assert_array_equal(update.labels, ref.labels)
+        np.testing.assert_array_equal(update.core_mask, ref.core_mask)
+        # The evict phase pays for the rebuild's launch and its own query's.
+        assert update.report.phase("evict").counts.kernel_launches == 2
+        engine.release()
+        assert engine.num_releases == 2
+
     def test_snapshot_mirrors_result(self):
         engine = StreamingRTDBSCAN(eps=0.3, min_pts=5, window=120)
         for chunk in drift_blob_stream(3, 60, seed=8):
