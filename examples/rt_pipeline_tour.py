@@ -39,7 +39,9 @@ def main() -> None:
 
     # 2./3. Geometry, Intersection program and acceleration structure --- #
     spheres = SphereGeometry(points, eps)
-    program = SphereProgram(points, eps, exclude_self=True)  # the q != s filter
+    # Query q is the centre of sphere q, so it drops sphere q: the q != s filter.
+    self_ids = np.arange(len(points))
+    program = SphereProgram(points, eps, self_map=self_ids)
     pipeline = ScenePipeline(device=device, geometry=spheres, builder="lbvh", leaf_size=4)
     build_seconds = pipeline.build_accel()
     print(f"sphere scene: {pipeline.num_primitives} primitives, "
@@ -64,7 +66,7 @@ def main() -> None:
     tri_pipeline = ScenePipeline(device=device, geometry=triangles)
     tri_build_seconds = tri_pipeline.build_accel()
     # Each triangle hit is confirmed against the sphere that owns it.
-    tri_program = SphereProgram(points, eps, exclude_self=True, owners=triangles.owners)
+    tri_program = SphereProgram(points, eps, self_map=self_ids, owners=triangles.owners)
     _, _, tri_stats = tri_pipeline.launch_csr_queries(points, tri_program)
     print(f"\ntriangle tessellation: {tri_pipeline.num_primitives} primitives "
           f"(20 triangles per sphere)")

@@ -30,7 +30,6 @@ __all__ = [
     "point_rows",
     "seeded_csr",
     "check_row_counts",
-    "drop_self_hits",
 ]
 
 
@@ -131,22 +130,3 @@ def check_row_counts(hits: np.ndarray, row_counts) -> None:
     if not np.array_equal(hits, row_counts):
         raise ValueError("row_counts differ from the launch's hit counts")
 
-
-def drop_self_hits(
-    rows: np.ndarray, counts: np.ndarray, indices: np.ndarray, row_counts=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop each external query's own id from a sweep's CSR rows.
-
-    Row ``i`` holds the ``counts[i]`` hits of a query at point ``rows[i]``,
-    which finds itself exactly once at distance zero, duplicates included;
-    dropping that id is the paper's ``q != s`` filter.  ``row_counts``, when
-    given, are checked first: every row must hold ``row_counts[i]``
-    neighbours plus the query itself.
-    """
-    if row_counts is not None:
-        check_row_counts(counts, np.asarray(row_counts) + 1)
-    row_of = np.repeat(np.arange(rows.size, dtype=np.intp), counts)
-    keep = indices != rows[row_of]
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of[keep], minlength=rows.size), out=indptr[1:])
-    return indptr, indices[keep]

@@ -59,7 +59,6 @@ class AlgorithmEntry:
     supports_backend: bool = False
     supports_tiles: bool = False
     supports_native: bool = False
-    aliases: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class BackendEntry:
     name: str
     factory: Callable[..., Any]
     description: str = ""
-    aliases: tuple[str, ...] = ()
     native: bool = False
 
 
@@ -125,7 +123,6 @@ def register_algorithm(
     supports_backend: bool = False,
     supports_tiles: bool = False,
     supports_native: bool = False,
-    aliases: tuple[str, ...] = (),
 ) -> Callable:
     """Class/function decorator that registers a clusterer factory.
 
@@ -147,12 +144,10 @@ def register_algorithm(
             supports_backend=supports_backend,
             supports_tiles=supports_tiles,
             supports_native=supports_native,
-            aliases=tuple(a.lower() for a in aliases),
         )
-        for key in (entry.name, *entry.aliases):
-            if key in _ALGORITHMS:
-                raise ValueError(f"algorithm {key!r} is already registered")
-            _ALGORITHMS[key] = entry
+        if entry.name in _ALGORITHMS:
+            raise ValueError(f"algorithm {entry.name!r} is already registered")
+        _ALGORITHMS[entry.name] = entry
         return factory
 
     return decorator
@@ -162,7 +157,6 @@ def register_backend(
     name: str,
     *,
     description: str = "",
-    aliases: tuple[str, ...] = (),
     native: bool = False,
 ) -> Callable:
     """Class/function decorator that registers a neighbour-backend factory.
@@ -178,13 +172,11 @@ def register_backend(
             name=name.lower(),
             factory=factory,
             description=description,
-            aliases=tuple(a.lower() for a in aliases),
             native=native,
         )
-        for key in (entry.name, *entry.aliases):
-            if key in _BACKENDS:
-                raise ValueError(f"neighbour backend {key!r} is already registered")
-            _BACKENDS[key] = entry
+        if entry.name in _BACKENDS:
+            raise ValueError(f"neighbour backend {entry.name!r} is already registered")
+        _BACKENDS[entry.name] = entry
         return factory
 
     return decorator
@@ -194,19 +186,19 @@ def register_backend(
 # Lookup.
 # ------------------------------------------------------------------------- #
 def list_algorithms() -> list[str]:
-    """Primary (alias-free) names of all registered algorithms, sorted."""
+    """Names of all registered algorithms, sorted."""
     _ensure_builtins()
-    return sorted({entry.name for entry in _ALGORITHMS.values()})
+    return sorted(_ALGORITHMS)
 
 
 def list_backends() -> list[str]:
-    """Primary names of all registered neighbour backends, sorted."""
+    """Names of all registered neighbour backends, sorted."""
     _ensure_builtins()
-    return sorted({entry.name for entry in _BACKENDS.values()})
+    return sorted(_BACKENDS)
 
 
 def get_algorithm(name: str) -> AlgorithmEntry:
-    """Look up an algorithm entry by (case-insensitive) name or alias."""
+    """Look up an algorithm entry by (case-insensitive) name."""
     _ensure_builtins()
     key = name.lower()
     if key not in _ALGORITHMS:
@@ -215,7 +207,7 @@ def get_algorithm(name: str) -> AlgorithmEntry:
 
 
 def get_backend(name: str) -> BackendEntry:
-    """Look up a backend entry by (case-insensitive) name or alias."""
+    """Look up a backend entry by (case-insensitive) name."""
     _ensure_builtins()
     key = name.lower()
     if key not in _BACKENDS:

@@ -24,7 +24,7 @@ import numpy as np
 from ..api.protocol import ClustererMixin
 from ..api.registry import register_algorithm
 from ..bvh.lbvh import build_lbvh
-from ..bvh.traversal import point_query_counts_early_exit, point_query_csr
+from ..bvh.traversal import point_query_counts, point_query_csr
 from ..dbscan.formation import form_clusters_csr
 from ..dbscan.params import DBSCANParams, DBSCANResult
 from ..geometry.aabb import AABB
@@ -82,7 +82,7 @@ class FDBSCAN(ClustererMixin):
             {"eps": eps, "min_pts": self.params.min_pts, "num_points": n, "device": self.device.name}
         )
 
-        confirm = SphereProgram(pts, eps, exclude_self=True).confirm(pts)
+        confirm = SphereProgram(pts, eps, self_map=np.arange(n)).confirm(pts)
 
         # -------------------------------------------------------------- #
         # Index construction: a plain spatial BVH over the points (each
@@ -116,9 +116,9 @@ class FDBSCAN(ClustererMixin):
                     # come from one counting traversal — the candidate pair
                     # set itself is never materialised.
                     cand_per_q = np.zeros(n, dtype=np.int64)
-                    neighbor_counts, stats1 = point_query_counts_early_exit(
-                        bvh, pts, confirm, min_count=None,
-                        chunk_size=self.chunk_size, candidate_counts=cand_per_q,
+                    neighbor_counts, stats1 = point_query_counts(
+                        bvh, pts, confirm, chunk_size=self.chunk_size,
+                        candidate_counts=cand_per_q,
                     )
                     frac = np.ones(n, dtype=np.float64)
                     reached = neighbor_counts >= self.params.min_pts
@@ -132,8 +132,8 @@ class FDBSCAN(ClustererMixin):
                         np.ceil(extra_visits * charged_candidates / max(stats1.candidates, 1))
                     )
                 else:
-                    neighbor_counts, stats1 = point_query_counts_early_exit(
-                        bvh, pts, confirm, min_count=None, chunk_size=self.chunk_size
+                    neighbor_counts, stats1 = point_query_counts(
+                        bvh, pts, confirm, chunk_size=self.chunk_size
                     )
                     charged_candidates = stats1.candidates
                     charged_visits = stats1.node_visits

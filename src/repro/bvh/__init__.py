@@ -13,7 +13,7 @@ from .refit import leaf_occupancy, refit, sah_cost
 from .sah import build_sah
 from .traversal import (
     TraversalStats,
-    point_query_counts_early_exit,
+    point_query_counts,
     point_query_csr,
 )
 
@@ -27,6 +27,6 @@ __all__ = [
     "sah_cost",
     "leaf_occupancy",
     "TraversalStats",
-    "point_query_counts_early_exit",
+    "point_query_counts",
     "point_query_csr",
 ]

@@ -25,7 +25,7 @@ frontier expansion is a single fancy-index gather per level.
 chunk-by-chunk with the caller's Intersection program and emits a canonical
 CSR adjacency directly, so the full candidate pair set — typically several
 times the confirmed set — never exists in memory.
-:func:`point_query_counts_early_exit` is its counting twin for stage 1.
+:func:`point_query_counts` is its counting twin for stage 1.
 
 Every kernel reports a :class:`TraversalStats` record with the operation
 counts the device timing model (``repro.perf``) converts into simulated
@@ -45,7 +45,7 @@ from .node import BVH
 
 __all__ = [
     "TraversalStats",
-    "point_query_counts_early_exit",
+    "point_query_counts",
     "point_query_csr",
 ]
 
@@ -125,15 +125,13 @@ def _traverse_chunk(
     q: np.ndarray,
     stats: TraversalStats,
     on_leaf: Callable[[np.ndarray, np.ndarray], None],
-    prune: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> None:
     """The level-synchronous frontier core shared by every point-query kernel.
 
     Walks one launch chunk's ``(query, node)`` frontier, charges the node /
     leaf / candidate counters, and hands each level's candidate expansion to
     ``on_leaf(rep_q, rep_p)`` — the only part that differs between the
-    counting and CSR kernels.  ``prune`` (early exit) filters
-    the next level's frontier by query id.
+    counting and CSR kernels.
     """
     leaf_mask = bvh.leaf_mask
     children = bvh.children
@@ -160,27 +158,18 @@ def _traverse_chunk(
         inodes = nodes[internal]
         q = np.repeat(q[internal], 2)
         nodes = children[inodes].reshape(-1)
-        if prune is not None and q.size:
-            still_active = prune(q)
-            q, nodes = q[still_active], nodes[still_active]
     stats.levels = max(stats.levels, level)
 
 
-def point_query_counts_early_exit(
+def point_query_counts(
     bvh: BVH,
     points: np.ndarray,
     confirm: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
-    min_count: int | None = None,
     chunk_size: int = 16384,
     candidate_counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, TraversalStats]:
-    """Count confirmed hits per query, optionally stopping at ``min_count``.
-
-    This is the traversal mode FDBSCAN's early-exit optimisation relies on
-    (Section VI-B): a query stops traversing as soon as it has confirmed
-    ``min_count`` neighbours.  With ``min_count=None`` the traversal runs to
-    completion and returns exact counts.
+    """Count confirmed hits per query (the stage-1 launch).
 
     Parameters
     ----------
@@ -190,14 +179,13 @@ def point_query_counts_early_exit(
     candidate_counts:
         Optional ``(nq,)`` int64 array accumulating the number of candidate
         primitives examined per query — the per-query breakdown FDBSCAN's
-        early-exit cost analysis needs, gathered here so callers never have
+        early-exit cost model needs, gathered here so callers never have
         to materialise the candidate pair set just to histogram it.
 
     Returns
     -------
     (counts, stats)
-        ``counts[i]`` is the number of confirmed hits for query ``i``
-        (saturating once ``min_count`` is reached, if given).
+        ``counts[i]`` is the number of confirmed hits for query ``i``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     nq = points.shape[0]
@@ -212,16 +200,9 @@ def point_query_counts_early_exit(
             stats.confirmed += int(ok.sum())
             np.add.at(counts, rep_q[ok], 1)
 
-    prune = None
-    if min_count is not None:
-        def prune(q: np.ndarray) -> np.ndarray:
-            return counts[q] < min_count
-
     for lo_q in range(0, nq, chunk_size):
         hi_q = min(nq, lo_q + chunk_size)
-        _traverse_chunk(
-            bvh, points, _coherent_chunk(points, lo_q, hi_q), stats, on_leaf, prune
-        )
+        _traverse_chunk(bvh, points, _coherent_chunk(points, lo_q, hi_q), stats, on_leaf)
     return counts, stats
 
 
@@ -245,8 +226,8 @@ def point_query_csr(
     -------
     (indptr, indices, stats)
         Canonical CSR over the ``nq`` query rows; ``stats`` carries the same
-        operation counts :func:`point_query_counts_early_exit` charges
-        without ``min_count`` (the traversal is identical).
+        operation counts :func:`point_query_counts` charges (the traversal
+        is identical).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     nq = points.shape[0]

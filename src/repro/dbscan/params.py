@@ -125,8 +125,15 @@ class DBSCANResult:
         a fresh ``RTDBSCAN(eps, min_pts).fit``.
 
         Requires ``neighbor_counts`` and ``points`` (kept by default via
-        ``keep_neighbor_counts=True``).
+        ``keep_neighbor_counts=True``).  A triangle-mode result is refused:
+        its counts are inexact (the tessellation misses ε-pairs), so they
+        cannot seed the exact fill.
         """
+        if self.algorithm == "rt-dbscan-triangles":
+            raise ValueError(
+                "refit cannot reuse triangle mode's neighbour counts: the "
+                "tessellation misses ε-pairs, so they are inexact"
+            )
         if self.neighbor_counts is None:
             raise ValueError(
                 "refit requires stored neighbor_counts; "

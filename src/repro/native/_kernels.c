@@ -23,9 +23,12 @@
  * so that all allocation stays on the numpy side; a NULL ``indptr`` selects
  * the counting pass.  The grid and BVH kernels cap each row's writes at its
  * indptr slice, so a caller that already holds the row counts runs the fill
- * pass alone.  When the compiler lacks -fopenmp the pragmas vanish
- * and every kernel degrades to the identical serial loop (the build layer
- * also retries without the flag, so a serial-C tier always exists).
+ * pass alone.  Both take the queries' own dataset ids as ``self_map`` and
+ * skip candidate self_map[i] for query i (the paper's q != s filter); a
+ * NULL self_map (external queries) skips nothing.  When the compiler lacks
+ * -fopenmp the pragmas vanish and every kernel degrades to the identical
+ * serial loop (the build layer also retries without the flag, so a serial-C
+ * tier always exists).
  */
 
 #include <math.h>
@@ -95,7 +98,7 @@ void repro_grid_scan(
     const int64_t *order,
     const int64_t *cell_table, const int64_t *cell_indptr, int64_t ncells,
     const double *origin, double cell_size, const int64_t *dims,
-    double r2, int self_query, int nthreads,
+    double r2, const int64_t *self_map, int nthreads,
     const int64_t *indptr,
     int64_t *row_counts,
     int64_t *indices,
@@ -120,6 +123,7 @@ void repro_grid_scan(
                 ck = dims[k] - 1;
             c[k] = ck;
         }
+        const int64_t self_id = self_map ? self_map[i] : -1;
         int64_t nhits = 0;
         const int64_t base = indptr ? indptr[i] : 0;
         const int64_t cap = indptr ? indptr[i + 1] - base : 0;
@@ -149,7 +153,7 @@ void repro_grid_scan(
                         const double dz = qz - czs[j];
                         if ((dx * dx + dz * dz) + dy * dy <= r2) {
                             const int64_t cand = order[j];
-                            if (self_query && cand == i)
+                            if (cand == self_id)
                                 continue;
                             if (indices && nhits < cap)
                                 indices[base + nhits] = cand;
@@ -250,13 +254,12 @@ void repro_brute_block(
 
 void repro_bvh_sphere(
     const double *qpts, int64_t nq,
-    const double *confirm_pts,
     const double *node_lo, const double *node_hi,
     const int64_t *children, const uint8_t *leaf_mask,
     const int64_t *prim_start, const int64_t *prim_count,
     const int64_t *prim_indices, int64_t num_nodes,
     const double *centers, double r2,
-    int exclude_self, const int64_t *self_map, const uint8_t *active,
+    const int64_t *self_map, const uint8_t *active,
     int nthreads, int64_t *stack,
     const int64_t *indptr,
     int64_t *row_counts,
@@ -279,9 +282,7 @@ void repro_bvh_sphere(
         int64_t *stk = stack;
 #endif
         const double *qp = qpts + 3 * qi;
-        const double *cp = confirm_pts + 3 * qi;
-        const int64_t self_prim =
-            exclude_self ? qi : (self_map ? self_map[qi] : -1);
+        const int64_t self_prim = self_map ? self_map[qi] : -1;
         int64_t nhits = 0;
         const int64_t base = indptr ? indptr[qi] : 0;
         const int64_t cap = indptr ? indptr[qi + 1] - base : 0;
@@ -311,7 +312,7 @@ void repro_bvh_sphere(
                         continue;
                     if (prim == self_prim)
                         continue;
-                    if (dist2_3(cp, centers + 3 * prim) <= r2) {
+                    if (dist2_3(qp, centers + 3 * prim) <= r2) {
                         if (indices && nhits < cap)
                             indices[base + nhits] = prim;
                         ++nhits;

@@ -45,7 +45,7 @@ void repro_grid_scan(
     const int64_t *order,
     const int64_t *cell_table, const int64_t *cell_indptr, int64_t ncells,
     const double *origin, double cell_size, const int64_t *dims,
-    double r2, int self_query, int nthreads,
+    double r2, const int64_t *self_map, int nthreads,
     const int64_t *indptr,
     int64_t *row_counts,
     int64_t *indices,
@@ -61,13 +61,12 @@ void repro_brute_block(
 
 void repro_bvh_sphere(
     const double *qpts, int64_t nq,
-    const double *confirm_pts,
     const double *node_lo, const double *node_hi,
     const int64_t *children, const uint8_t *leaf_mask,
     const int64_t *prim_start, const int64_t *prim_count,
     const int64_t *prim_indices, int64_t num_nodes,
     const double *centers, double r2,
-    int exclude_self, const int64_t *self_map, const uint8_t *active,
+    const int64_t *self_map, const uint8_t *active,
     int nthreads, int64_t *stack,
     const int64_t *indptr,
     int64_t *row_counts,

@@ -303,6 +303,11 @@ def _is_c_i64(arr: np.ndarray) -> bool:
     )
 
 
+def _is_self_map(self_map: np.ndarray | None, nq: int) -> bool:
+    """``None``, or one C-contiguous int64 dataset id per query."""
+    return self_map is None or (_is_c_i64(self_map) and self_map.shape[0] >= nq)
+
+
 class NativeKernels:
     """Bound cffi library + the numpy-facing call wrappers.
 
@@ -363,7 +368,7 @@ class NativeKernels:
         cell_size: float,
         dims: np.ndarray,
         r2: float,
-        self_query: bool,
+        self_map: np.ndarray | None,
         *,
         indptr: np.ndarray | None = None,
         row_counts: np.ndarray | None = None,
@@ -372,7 +377,8 @@ class NativeKernels:
         """One stencil-gather pass; returns the charged candidate total.
 
         ``soa`` is the cell-ordered candidate coordinates as three aligned
-        1-D arrays (see ``GridNeighborBackend._grid_soa``).
+        1-D arrays (see ``GridNeighborBackend._grid_soa``).  Query ``i``
+        skips candidate ``self_map[i]``; ``None`` skips nothing.
         """
         cxs, cys, czs = soa
         arrays_f = (qpts, cxs, cys, czs, origin)
@@ -384,6 +390,8 @@ class NativeKernels:
         if qpts.ndim != 2 or qpts.shape[1] != 3:
             return None
         if not (cxs.shape == cys.shape == czs.shape == order.shape):
+            return None
+        if not _is_self_map(self_map, qpts.shape[0]):
             return None
         cand_out = np.zeros(1, dtype=np.int64)
         self.lib.repro_grid_scan(
@@ -400,7 +408,7 @@ class NativeKernels:
             float(cell_size),
             self._i64(dims),
             float(r2),
-            1 if self_query else 0,
+            self.ffi.NULL if self_map is None else self._i64(self_map),
             self.resolve_threads(),
             self.ffi.NULL if indptr is None else self._i64(indptr),
             self.ffi.NULL if row_counts is None else self._i64w(row_counts),
@@ -444,12 +452,10 @@ class NativeKernels:
     def bvh_sphere(
         self,
         qpts: np.ndarray,
-        confirm_pts: np.ndarray,
         bvh,
         centers: np.ndarray,
         r2: float,
         *,
-        exclude_self: bool = False,
         self_map: np.ndarray | None = None,
         active: np.ndarray | None = None,
         indptr: np.ndarray | None = None,
@@ -459,10 +465,11 @@ class NativeKernels:
     ) -> bool:
         """One DFS sphere-query pass over ``bvh`` (count or fill mode).
 
+        Query ``i`` skips sphere ``self_map[i]``; ``None`` skips nothing.
         DFS scratch is allocated here — one slab per resolved worker, each
         sized for the worst-case push depth of a single query.
         """
-        arrays_f = (qpts, confirm_pts, bvh.node_lower, bvh.node_upper, centers)
+        arrays_f = (qpts, bvh.node_lower, bvh.node_upper, centers)
         arrays_i = (bvh.children, bvh.prim_start, bvh.prim_count, bvh.prim_indices)
         if not all(_is_c_f64(a) for a in arrays_f):
             return False
@@ -471,11 +478,7 @@ class NativeKernels:
         leaf_mask = bvh.leaf_mask
         if leaf_mask.dtype != np.bool_ or not leaf_mask.flags.c_contiguous:
             return False
-        if qpts.shape[1] != 3 or confirm_pts.shape[0] < qpts.shape[0]:
-            return False
-        if self_map is not None and not (
-            _is_c_i64(self_map) and self_map.shape[0] >= qpts.shape[0]
-        ):
+        if qpts.shape[1] != 3 or not _is_self_map(self_map, qpts.shape[0]):
             return False
         if active is not None and not (
             active.dtype == np.bool_
@@ -489,7 +492,6 @@ class NativeKernels:
         self.lib.repro_bvh_sphere(
             self._f64(qpts),
             qpts.shape[0],
-            self._f64(confirm_pts),
             self._f64(bvh.node_lower),
             self._f64(bvh.node_upper),
             self._i64(bvh.children),
@@ -500,7 +502,6 @@ class NativeKernels:
             num_nodes,
             self._f64(centers),
             float(r2),
-            1 if exclude_self else 0,
             self.ffi.NULL if self_map is None else self._i64(self_map),
             self.ffi.NULL if active is None else self._u8(active.view(np.uint8)),
             nthreads,

@@ -7,14 +7,18 @@ actually depends on: build an index over the dataset once, then answer
 * ``neighbor_csr()``    — the confirmed ε-adjacency in canonical CSR form
   (see :mod:`repro.adjacency`),
 
-with the dataset's own points as the default queries and self pairs excluded
-(the paper's ``q != s`` filter).  Stage 2 calls
-``neighbor_csr(rows=core_ids, row_counts=counts[core_ids])``: only the core
-points' rows, which is all cluster formation reads.  Those rows equal the
-matching rows of ``neighbor_csr()`` byte for byte; the sphere launches (rt,
-kdtree) and the grid size them from the stage-1 counts and run one fill
-pass, and the fill charges the device nothing, because the caller charges
-the paper's stage-2 relaunch itself.  Every backend produces the CSR
+with the dataset's own points as the default queries.  A query drops only
+its own point id (the paper's ``q != s`` filter), tested inside each
+kernel's candidate loop: dataset queries carry ``arange(n)`` as their
+``self_map``, row fills their rows, and external queries carry none.
+Stage 2 calls ``neighbor_csr(rows=core_ids, row_counts=counts[core_ids])``:
+only the core points' rows, which is all cluster formation reads.  Those
+rows equal the matching rows of ``neighbor_csr()`` byte for byte; the
+sphere launches (rt, kdtree) and the grid size them from the stage-1 counts
+and run one fill pass.  A rows fill charges the device nothing, and its
+stats carry the counts it would charge: RT-DBSCAN charges the paper's
+stage-2 relaunch itself, and a host streaming scene charges the stats.
+Every backend produces the CSR
 **chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
 never materialised as an intermediate; peak memory is one block's candidate
 working set plus the adjacency itself.
@@ -37,7 +41,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import drop_self_hits, expand_ranges, point_rows, seeded_csr
+from ..adjacency import check_row_counts, expand_ranges, point_rows, seeded_csr
 from ..api.registry import register_backend
 from ..geometry.transforms import ensure_points3d
 from ..native import dispatch as native_dispatch
@@ -82,6 +86,11 @@ class NeighborBackend(Protocol):
     def release(self) -> None: ...
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The blocks' CSR index fragments as one array."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
 def _aligned_copy(arr: np.ndarray, alignment: int = 32) -> np.ndarray:
     """A C-contiguous float64 copy whose data pointer is ``alignment``-aligned.
 
@@ -106,9 +115,8 @@ class _HostNeighborBackend:
 
     Subclasses implement ``_build()`` (index construction, sets
     ``build_seconds`` and optionally a device-memory allocation) and
-    ``_scan()`` — the blocked query sweep that yields per-row hit counts,
-    optionally the CSR index fragments, and the charged candidate /
-    node-visit totals.  Count and CSR queries both derive from it.
+    ``_scan()`` — the one blocked query sweep behind every count and CSR
+    query: dataset, external, rows and seeded rows.
     """
 
     points: np.ndarray
@@ -137,35 +145,41 @@ class _HostNeighborBackend:
     def num_prims(self) -> int:
         return self.num_points
 
-    def _charge(self, *, num_rays: int, candidates: int, node_visits: int = 0,
-                confirmed: int = 0) -> LaunchStats:
-        """Charge one query launch to the device at shader-core rates."""
-        counts = OpCounts(
-            sm_node_visits=int(node_visits),
-            distance_computations=int(candidates),
-            kernel_launches=1,
-        )
-        seconds = self.device.charge(counts)
-        return LaunchStats(
+    def _stats(self, num_rays: int, candidates: int, node_visits: int, confirmed: int,
+               *, charge: bool) -> LaunchStats:
+        """One query launch's stats, priced at shader-core rates, and charged if asked."""
+        stats = LaunchStats(
             num_rays=int(num_rays),
             confirmed_hits=int(confirmed),
-            simulated_seconds=seconds,
-            counts=counts,
+            counts=OpCounts(
+                sm_node_visits=int(node_visits),
+                distance_computations=int(candidates),
+                kernel_launches=1,
+            ),
         )
+        if charge:
+            stats.simulated_seconds = self.device.charge(stats.counts)
+        return stats
 
-    def _resolve_queries(self, queries: np.ndarray | None) -> tuple[np.ndarray, bool]:
-        """Query points plus the self-filter flag (dataset queries drop q == p)."""
+    def _resolve_queries(
+        self, queries: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Query points plus their own point ids (dataset queries drop themselves)."""
         if queries is None:
-            return self.points, True
-        return ensure_points3d(queries, name="queries"), False
+            return self.points, np.arange(self.num_points)
+        return ensure_points3d(queries, name="queries"), None
 
     def _scan(
-        self, qpts: np.ndarray, self_query: bool, collect: bool
-    ) -> tuple[np.ndarray, list[np.ndarray] | None, int, int]:
-        """Blocked sweep: ``(row_counts, csr_parts, candidates, node_visits)``.
+        self, qpts: np.ndarray, self_map: np.ndarray | None, collect: bool,
+        row_counts: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+        """Blocked sweep: ``(hit_counts, indices, candidates, node_visits)``.
 
-        ``csr_parts`` (only when ``collect``) are canonical per-block CSR
-        index fragments: rows in query order, indices ascending.
+        Query ``i`` skips point ``self_map[i]`` (``None``: skips nothing).
+        ``indices`` (only when ``collect``) is the canonical CSR index
+        array: rows in query order, indices ascending.  A CSR sweep given
+        the rows' ``row_counts`` raises ``ValueError`` unless every row
+        holds exactly that many hits; a backend may size its fill with them.
         """
         raise NotImplementedError  # pragma: no cover - overridden
 
@@ -177,13 +191,12 @@ class _HostNeighborBackend:
 
         No neighbour ids are stored — this is a pure counting sweep.
         """
-        qpts, self_query = self._resolve_queries(queries)
-        row_counts, _, candidates, node_visits = self._scan(qpts, self_query, collect=False)
-        stats = self._charge(
-            num_rays=qpts.shape[0], candidates=candidates,
-            node_visits=node_visits, confirmed=int(row_counts.sum()),
+        qpts, self_map = self._resolve_queries(queries)
+        counts, _, candidates, node_visits = self._scan(qpts, self_map, False)
+        stats = self._stats(
+            qpts.shape[0], candidates, node_visits, counts.sum(), charge=True
         )
-        return row_counts, stats
+        return counts, stats
 
     def neighbor_csr(
         self, queries: np.ndarray | None = None, *,
@@ -191,48 +204,30 @@ class _HostNeighborBackend:
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Confirmed ε-adjacency in canonical CSR form, built block-by-block.
 
-        ``rows`` fills only the rows of those dataset points, uncharged: CSR
-        row ``i`` is point ``rows[i]``, self hit excluded (see
-        :meth:`_fill_rows`).
+        ``rows`` fills only the rows of those dataset points: CSR row ``i``
+        is point ``rows[i]``, self hit excluded.  Such a fill charges the
+        device nothing, and its stats carry the counts it would charge.
+        Given the queries' hit counts as ``row_counts``, it raises
+        ``ValueError`` unless every row holds that many neighbours.
         """
-        if rows is not None:
+        if rows is None:
+            qpts, self_map = self._resolve_queries(queries)
+        else:
             if queries is not None:
                 raise ValueError("pass either queries or rows, not both")
             rows = point_rows(rows, self.num_points)
             if rows.size == 0:
                 return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
-            indptr, indices = self._fill_rows(rows, row_counts)
-            return indptr, indices, LaunchStats(
-                num_rays=int(rows.size), confirmed_hits=int(indices.size)
-            )
-        qpts, self_query = self._resolve_queries(queries)
-        row_counts, parts, candidates, node_visits = self._scan(qpts, self_query, collect=True)
+            qpts, self_map = self.points[rows], rows
+        counts, indices, candidates, node_visits = self._scan(
+            qpts, self_map, True, row_counts
+        )
         indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-        stats = self._charge(
-            num_rays=qpts.shape[0], candidates=candidates,
-            node_visits=node_visits, confirmed=int(indices.size),
+        np.cumsum(counts, out=indptr[1:])
+        stats = self._stats(
+            qpts.shape[0], candidates, node_visits, indices.size, charge=rows is None
         )
         return indptr, indices, stats
-
-    def _fill_rows(
-        self, rows: np.ndarray, row_counts: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR rows of dataset points ``rows``, their own ids dropped.
-
-        ``points[rows]`` are swept as external queries, and
-        :func:`~repro.adjacency.drop_self_hits` drops each one's own id
-        (the paper's ``q != s`` filter).  Given ``row_counts``, every row
-        must hold exactly that many neighbours, or ``ValueError`` is
-        raised.  The grid seeds its native fill with them; ``brute`` keeps
-        its count pass, because it is the oracle and its blocked sweep
-        (:func:`~repro.neighbors.brute.pairwise_within_blocks`) serves other
-        callers too.
-        """
-        counts, parts, _, _ = self._scan(self.points[rows], False, collect=True)
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-        return drop_self_hits(rows, counts, indices, row_counts)
 
     def release(self) -> None:
         """Free the simulated device-side index."""
@@ -257,21 +252,25 @@ class BruteNeighborBackend(_HostNeighborBackend):
 
     chunk_size: int = 512
 
-    def _scan(self, qpts, self_query, collect):
+    def _scan(self, qpts, self_map, collect, row_counts=None):
+        """The oracle keeps its count pass: ``row_counts`` are only checked."""
         nq = qpts.shape[0]
-        row_counts = np.zeros(nq, dtype=np.int64)
-        parts: list[np.ndarray] | None = [] if collect else None
+        counts = np.zeros(nq, dtype=np.int64)
+        parts: list[np.ndarray] = []
         for lo, qi, di in pairwise_within_blocks(
             qpts, self.points, self.radius, block_size=self.chunk_size
         ):
-            if self_query:
-                keep = qi != di
+            if self_map is not None:
+                keep = self_map[qi] != di
                 qi, di = qi[keep], di[keep]
             hi = min(nq, lo + self.chunk_size)
-            row_counts[lo:hi] = np.bincount(qi - lo, minlength=hi - lo)
-            if parts is not None:
+            counts[lo:hi] = np.bincount(qi - lo, minlength=hi - lo)
+            if collect:
                 parts.append(di)
-        return row_counts, parts, nq * self.num_points, 0
+        if row_counts is not None:
+            check_row_counts(counts, row_counts)
+        indices = _joined(parts) if collect else None
+        return counts, indices, nq * self.num_points, 0
 
 
 @register_backend(
@@ -313,7 +312,7 @@ class GridNeighborBackend(_HostNeighborBackend):
             )
         return self._soa
 
-    def _grid_scan(self, nk, qpts, self_query, **buffers):
+    def _grid_scan(self, nk, qpts, self_map, **buffers):
         """One native stencil pass (count, or fill into ``buffers``).
 
         Returns the charged candidate total, or ``None`` when the kernel
@@ -323,55 +322,43 @@ class GridNeighborBackend(_HostNeighborBackend):
         return nk.grid_scan(
             qpts, self._grid_soa(), grid.order, grid.cell_table, grid.cell_indptr,
             grid.origin, grid.cell_size, grid.dims,
-            self.radius * self.radius, self_query, **buffers,
+            self.radius * self.radius, self_map, **buffers,
         )
 
-    def _scan_native(self, qpts, self_query, collect):
+    def _scan_native(self, qpts, self_map, collect, row_counts):
         """The stencil sweep on the native tier (or ``None`` to use numpy).
 
         One C pass counts per-row hits (and the charged candidate total), a
-        second fills the pre-sized canonical CSR fragment — byte-identical to
-        the numpy block sweep below.
+        second fills the pre-sized canonical CSR — byte-identical to the
+        numpy block sweep below.  Known ``row_counts`` size the CSR up
+        front, so the first pass fills it.
         """
         nk = native_dispatch.kernels()
         if nk is None:
             return None
         qpts = np.ascontiguousarray(qpts)
-        row_counts = np.zeros(qpts.shape[0], dtype=np.int64)
-        candidates = self._grid_scan(nk, qpts, self_query, row_counts=row_counts)
+        nq = qpts.shape[0]
+        counts = np.zeros(nq, dtype=np.int64)
+        seeded = collect and row_counts is not None
+        csr = seeded_csr(row_counts, nq) if seeded else {}
+        candidates = self._grid_scan(nk, qpts, self_map, row_counts=counts, **csr)
         if candidates is None:
             return None
-        if not collect:
-            return row_counts, None, candidates, 0
-        csr = seeded_csr(row_counts, qpts.shape[0])
-        self._grid_scan(nk, qpts, self_query, **csr)
-        return row_counts, [csr["indices"]], candidates, 0
+        if seeded:
+            check_row_counts(counts, row_counts)
+        elif collect:
+            csr = seeded_csr(counts, nq)
+            self._grid_scan(nk, qpts, self_map, **csr)
+        return counts, csr.get("indices"), candidates, 0
 
-    def _fill_rows(self, rows, row_counts):
-        """Given the rows' counts, one native fill pass sized by ``row_counts + 1``.
-
-        Each query finds itself once, so its sweep row is one longer than
-        its neighbour count; the kernel caps every row's writes at that
-        size and reports its real hits, which
-        :func:`~repro.adjacency.drop_self_hits` checks.
-        """
-        nk = native_dispatch.kernels()
-        if row_counts is not None and nk is not None:
-            qpts = self.points[rows]
-            csr = seeded_csr(np.asarray(row_counts) + 1, rows.size)
-            hits = np.zeros(rows.size, dtype=np.int64)
-            if self._grid_scan(nk, qpts, False, row_counts=hits, **csr) is not None:
-                return drop_self_hits(rows, hits, csr["indices"], row_counts)
-        return super()._fill_rows(rows, row_counts)
-
-    def _scan(self, qpts, self_query, collect):
-        native = self._scan_native(qpts, self_query, collect)
+    def _scan(self, qpts, self_map, collect, row_counts=None):
+        native = self._scan_native(qpts, self_map, collect, row_counts)
         if native is not None:
             return native
         r2 = self.radius * self.radius
         nq = qpts.shape[0]
-        row_counts = np.zeros(nq, dtype=np.int64)
-        parts: list[np.ndarray] | None = [] if collect else None
+        counts = np.zeros(nq, dtype=np.int64)
+        parts: list[np.ndarray] = []
         candidates = 0
         for lo in range(0, nq, self.block_size):
             hi = min(nq, lo + self.block_size)
@@ -382,15 +369,17 @@ class GridNeighborBackend(_HostNeighborBackend):
             rep_q = np.repeat(np.arange(lo, hi, dtype=np.intp), per_q)
             d = qpts[rep_q] - self.points[cand]
             hit = np.einsum("ij,ij->i", d, d) <= r2
-            if self_query:
-                hit &= rep_q != cand
+            if self_map is not None:
+                hit &= self_map[rep_q] != cand
             hq, hc = rep_q[hit], cand[hit]
             order = np.lexsort((hc, hq))
             hq, hc = hq[order], hc[order]
-            row_counts[lo:hi] = np.bincount(hq - lo, minlength=hi - lo)
-            if parts is not None:
+            counts[lo:hi] = np.bincount(hq - lo, minlength=hi - lo)
+            if collect:
                 parts.append(hc)
-        return row_counts, parts, candidates, 0
+        if row_counts is not None:
+            check_row_counts(counts, row_counts)
+        return counts, _joined(parts) if collect else None, candidates, 0
 
 
 @register_backend(
@@ -430,21 +419,12 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
         self._mem_label = f"kdtree_backend_{id(self)}"
         self.device.memory.allocate(self._mem_label, self.bvh.memory_bytes())
 
-    def _scan(self, qpts, self_query, collect):
-        program = SphereProgram(self.points, self.radius, exclude_self=self_query)
+    def _scan(self, qpts, self_map, collect, row_counts=None):
+        program = SphereProgram(self.points, self.radius, self_map=self_map)
         if not collect:
             counts, stats = launch_sphere(self.bvh, qpts, program, collect=False)
             return counts, None, stats.candidates, stats.node_visits
-        indptr, indices, stats = launch_sphere(self.bvh, qpts, program, collect=True)
-        return np.diff(indptr), [indices], stats.candidates, stats.node_visits
-
-    def _fill_rows(self, rows, row_counts):
-        """A sphere launch from ``points[rows]`` with ``self_map=rows``.
-
-        Given the rows' counts it runs the native fill pass alone.
-        """
-        program = SphereProgram(self.points, self.radius, self_map=rows)
-        indptr, indices, _ = launch_sphere(
-            self.bvh, self.points[rows], program, collect=True, row_counts=row_counts
+        indptr, indices, stats = launch_sphere(
+            self.bvh, qpts, program, collect=True, row_counts=row_counts
         )
-        return indptr, indices
+        return np.diff(indptr), indices, stats.candidates, stats.node_visits

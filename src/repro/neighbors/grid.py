@@ -88,32 +88,6 @@ class UniformGrid:
             return coords[:, 0] * self.dims[1] + coords[:, 1]
         return (coords[:, 0] * self.dims[1] + coords[:, 1]) * self.dims[2] + coords[:, 2]
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def num_occupied_cells(self) -> int:
-        return int(self.cell_table.size)
-
-    def points_in_cell(self, cell_id: int) -> np.ndarray:
-        """Indices of the points stored in one flattened cell id."""
-        pos = int(np.searchsorted(self.cell_table, int(cell_id)))
-        if pos >= self.cell_table.size or self.cell_table[pos] != int(cell_id):
-            return np.empty(0, dtype=np.intp)
-        return self.order[self.cell_indptr[pos] : self.cell_indptr[pos + 1]]
-
-    def cell_id_of(self, pts: np.ndarray) -> np.ndarray:
-        """Flattened cell id of each point, vectorised.
-
-        Coordinates are clipped into the grid extent, so out-of-extent
-        points (e.g. external queries near the data boundary) land in the
-        nearest boundary cell — consistent with
-        :meth:`candidate_neighbors`, which clips the same way.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return self._flatten(self._cell_coords(pts))
-
     # ------------------------------------------------------------------ #
     def stencil_ranges(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate slices of ``order`` for every query's 3^d stencil.
@@ -144,37 +118,6 @@ class UniformGrid:
         """Point indices in the 3^d cells surrounding ``query`` (unfiltered)."""
         starts, counts = self.stencil_ranges(np.asarray(query, dtype=np.float64).reshape(1, -1))
         return self.order[expand_ranges(starts.ravel(), counts.ravel())]
-
-    def query_radius(self, query: np.ndarray, radius: float | None = None,
-                     *, exclude_index: int | None = None) -> np.ndarray:
-        """Exact fixed-radius neighbours of one query point.
-
-        ``radius`` defaults to the grid's cell size (the DBSCAN ε); the
-        candidate set from the surrounding cells is filtered by exact
-        distance.  ``exclude_index`` removes the query point itself when it
-        is part of the indexed dataset.
-        """
-        r = self.cell_size if radius is None else float(radius)
-        if r > self.cell_size + 1e-12:
-            raise ValueError("query radius may not exceed the grid cell size")
-        cand = self.candidate_neighbors(query)
-        if cand.size == 0:
-            return cand
-        d = self.points[cand] - np.asarray(query, dtype=np.float64)
-        ok = np.einsum("ij,ij->i", d, d) <= r * r
-        result = cand[ok]
-        if exclude_index is not None:
-            result = result[result != exclude_index]
-        return result
-
-    def candidate_stats(self) -> dict:
-        """Occupancy summary used by the CUDA-DClust+ cost accounting."""
-        counts = np.diff(self.cell_indptr)
-        return {
-            "occupied_cells": int(counts.size),
-            "max_per_cell": int(counts.max()) if counts.size else 0,
-            "mean_per_cell": float(counts.mean()) if counts.size else 0.0,
-        }
 
     def memory_bytes(self) -> int:
         """Approximate device footprint of the grid index."""

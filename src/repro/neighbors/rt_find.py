@@ -104,15 +104,16 @@ class RTNeighborFinder:
         """Scene primitives (spheres, or triangles in triangle mode)."""
         return self.pipeline.num_primitives
 
-    def _launch_args(self, queries: np.ndarray | None) -> tuple[np.ndarray, SphereProgram]:
-        """Launch points and program; dataset queries drop the self hit."""
+    def _program(self, self_map: np.ndarray | None) -> SphereProgram:
+        """The sphere program for queries whose own point ids are ``self_map``."""
         owners = self.pipeline.geometry.owners if self.triangle_mode else None
+        return SphereProgram(self.points, self.radius, self_map=self_map, owners=owners)
+
+    def _launch_args(self, queries: np.ndarray | None) -> tuple[np.ndarray, SphereProgram]:
+        """Launch points and program: dataset queries drop their own ids."""
         if queries is None:
-            return self.points, SphereProgram(
-                self.points, self.radius, exclude_self=True, owners=owners
-            )
-        pts = ensure_points3d(queries, name="queries")
-        return pts, SphereProgram(self.points, self.radius, owners=owners)
+            return self.points, self._program(np.arange(self.num_points))
+        return ensure_points3d(queries, name="queries"), self._program(None)
 
     def neighbor_counts(
         self, queries: np.ndarray | None = None
@@ -141,22 +142,22 @@ class RTNeighborFinder:
         ``i`` is point ``rows[i]``, self hit excluded, byte for byte row
         ``rows[i]`` of ``neighbor_csr()``.  A sphere launch handed their
         stage-1 counts as ``row_counts`` runs its fill pass alone.  Such a
-        fill charges the device nothing; RT-DBSCAN charges its stage 2 as the
-        stage-1 counts.
+        fill charges the device nothing, and its stats carry the counts it
+        would charge; RT-DBSCAN charges its stage 2 as the stage-1 counts.
         """
+        # Triangle hits outnumber the deduplicated counts, so they seed nothing.
+        seed = None if self.triangle_mode else row_counts
         if rows is None:
-            return self.pipeline.launch_csr_queries(*self._launch_args(queries))
+            return self.pipeline.launch_csr_queries(
+                *self._launch_args(queries), row_counts=seed
+            )
         if queries is not None:
             raise ValueError("pass either queries or rows, not both")
         rows = point_rows(rows, self.num_points)
         if rows.size == 0:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
-        owners = self.pipeline.geometry.owners if self.triangle_mode else None
-        program = SphereProgram(self.points, self.radius, self_map=rows, owners=owners)
-        # Triangle hits outnumber the deduplicated counts, so they seed nothing.
         return self.pipeline.launch_csr_queries(
-            self.points[rows], program, charge=False,
-            row_counts=None if self.triangle_mode else row_counts,
+            self.points[rows], self._program(rows), charge=False, row_counts=seed
         )
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:

@@ -127,7 +127,8 @@ class ScenePipeline:
             raise RuntimeError("build_accel() must be called before launching rays")
         return self.bvh
 
-    def _charge_launch(self, stats: LaunchStats) -> None:
+    def _count_launch(self, stats: LaunchStats, *, charge: bool = True) -> None:
+        """Record the launch's operation counts, and charge them unless told not to."""
         counts = OpCounts(kernel_launches=1)
         if self.device.has_rt_cores:
             counts.rt_node_visits = stats.traversal.node_visits
@@ -136,7 +137,8 @@ class ScenePipeline:
         counts.intersection_calls = stats.intersection_calls
         counts.anyhit_calls = stats.anyhit_calls
         stats.counts = counts
-        stats.simulated_seconds = self.device.charge(counts)
+        if charge:
+            stats.simulated_seconds = self.device.charge(counts)
 
     # ------------------------------------------------------------------ #
     def launch_csr_queries(
@@ -152,7 +154,8 @@ class ScenePipeline:
         in memory.  ``row_counts`` (the rows' known hit counts) lets the
         launch run its fill pass alone (see
         :func:`~repro.rtcore.programs.launch_sphere`); with ``charge=False``
-        the device is not charged and the returned stats carry no counts.
+        the returned stats carry the launch's counts but the device is not
+        charged (and no simulated seconds are recorded).
 
         In triangle mode a sphere is hit through several of its triangles:
         each confirmed triangle hit is charged one AnyHit call and collapsed
@@ -174,8 +177,7 @@ class ScenePipeline:
             )
             indptr, indices = pairs_to_csr(keys // n_owners, keys % n_owners, pts.shape[0])
         stats.confirmed_hits = int(indices.size)
-        if charge:
-            self._charge_launch(stats)
+        self._count_launch(stats, charge=charge)
         return indptr, indices, stats
 
     def launch_count_queries(
@@ -200,7 +202,7 @@ class ScenePipeline:
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
         stats.confirmed_hits = traversal.confirmed
-        self._charge_launch(stats)
+        self._count_launch(stats)
         return counts, stats
 
     # ------------------------------------------------------------------ #

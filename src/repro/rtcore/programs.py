@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..adjacency import check_row_counts, seeded_csr
-from ..bvh.traversal import TraversalStats, point_query_counts_early_exit, point_query_csr
+from ..bvh.traversal import TraversalStats, point_query_counts, point_query_csr
 from ..native import dispatch as native_dispatch
 
 __all__ = ["SphereProgram", "launch_sphere"]
@@ -47,13 +47,11 @@ class SphereProgram:
     radius:
         The ε radius shared by all spheres.  ``r2`` is computed from it once,
         as ``radius * radius``, and every tier compares against that value.
-    exclude_self:
-        Reject ``p == q``: the queries are the centres themselves (the
-        paper's ``q != s`` filter).
     self_map:
         Reject ``p == self_map[q]``: query ``q`` is the centre of sphere
-        ``self_map[q]`` (streaming slot queries).  Ignored when
-        ``exclude_self`` is set, as in the kernel.
+        ``self_map[q]`` (the paper's ``q != s`` filter).  Dataset queries
+        pass ``np.arange(n)``, row fills their rows, streaming queries their
+        slots; external queries pass ``None`` and reject nothing.
     active:
         Boolean mask over the spheres; inactive (parked) spheres never hit.
     owners:
@@ -64,7 +62,6 @@ class SphereProgram:
 
     centers: np.ndarray
     radius: float
-    exclude_self: bool = False
     self_map: np.ndarray | None = None
     active: np.ndarray | None = None
     owners: np.ndarray | None = None
@@ -81,15 +78,13 @@ class SphereProgram:
         to a boolean hit array.
         """
         centers, r2, owners = self.centers, self.r2, self.owners
-        exclude_self, self_map, active = self.exclude_self, self.self_map, self.active
+        self_map, active = self.self_map, self.active
 
         def intersection(query_idx: np.ndarray, prim_idx: np.ndarray) -> np.ndarray:
             target = prim_idx if owners is None else owners[prim_idx]
             d = points[query_idx] - centers[target]
             hit = np.einsum("ij,ij->i", d, d) <= r2
-            if exclude_self:
-                hit &= query_idx != target
-            elif self_map is not None:
+            if self_map is not None:
                 hit &= self_map[query_idx] != target
             if active is not None:
                 hit &= active[target]
@@ -115,10 +110,8 @@ def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: b
     if nk is not None:
         qpts = np.ascontiguousarray(points)
         nq = qpts.shape[0]
-        args = (qpts, qpts, bvh, program.centers, program.r2)
-        filters = dict(
-            exclude_self=program.exclude_self, self_map=program.self_map, active=program.active
-        )
+        args = (qpts, bvh, program.centers, program.r2)
+        filters = dict(self_map=program.self_map, active=program.active)
         counts = np.zeros(nq, dtype=np.int64)
         stats = np.zeros(5, dtype=np.int64)
         # Known row counts size the CSR up front, so the first pass fills it.
@@ -139,7 +132,7 @@ def launch_sphere(bvh, points: np.ndarray, program: SphereProgram, *, collect: b
             return csr["indptr"], csr["indices"], traversal
     confirm = program.confirm(points)
     if not collect:
-        return point_query_counts_early_exit(bvh, points, confirm, chunk_size=chunk_size)
+        return point_query_counts(bvh, points, confirm, chunk_size=chunk_size)
     indptr, indices, traversal = point_query_csr(bvh, points, confirm, chunk_size=chunk_size)
     if seeded:
         check_row_counts(np.diff(indptr), row_counts)

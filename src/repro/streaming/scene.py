@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adjacency import drop_self_hits
 from ..api.registry import make_backend
 from ..geometry.morton import morton3d_30
 from ..geometry.sphere import SphereGeometry
@@ -323,7 +322,7 @@ class HostStreamingScene(StreamingScene):
     / commit / query), but instead of maintaining an ε-sphere BVH on the
     simulated RT device, :meth:`commit` rebuilds one of the registered host
     backends (``grid`` / ``kdtree`` / ``brute``) over the live window and
-    :meth:`query_csr` answers through its external-query sweep.  Because
+    :meth:`query_csr` answers as a rows query of that index.  Because
     every exact backend returns the canonical ε-adjacency, the streaming
     engine produces bit-identical labels on this scene and on the RT scene —
     which is what lets the snapshot/restore parity suite assert recovery on
@@ -380,34 +379,27 @@ class HostStreamingScene(StreamingScene):
     def query_csr(
         self, slots: np.ndarray, row_counts: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """External ε-queries against the committed index, self hits removed.
+        """ε-queries from committed slots: a rows query of the committed index.
 
-        The backend sweep has no notion of identity for external query
-        points, so the query point's own zero-distance hit comes back and is
-        filtered here — matching the RT scene's ``prim != slots[q]``
-        intersection semantics bit-for-bit.  Indices come back in slot space
-        (ascending per row: the backend CSR is ascending in index space and
-        the slot map is monotone).  ``row_counts``, when given, must be the
-        returned row lengths, or ``ValueError`` is raised: the contract of
-        :meth:`StreamingScene.query_csr`.
+        Each slot maps to its row of the index the last :meth:`commit`
+        built, through the slot map, so the backend drops the query's own
+        point by its id — the RT scene's ``prim != slots[q]`` rule.  A slot
+        that commit did not index raises ``RuntimeError``.  Indices come
+        back in slot space (ascending per row: the backend CSR is ascending
+        in row space and the slot map is monotone).  ``row_counts`` seed the
+        backend's fill, which raises ``ValueError`` if the hits differ: the
+        contract of :meth:`StreamingScene.query_csr`.  The fill's stats are
+        charged here, as the query launch.
         """
         slots = np.asarray(slots, dtype=np.intp)
         if slots.size == 0:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
-        if self._backend is None:
-            if self._slot_map.size == 0 and not self.active.any():
-                # Empty committed window: every query row is empty.
-                return (
-                    np.zeros(slots.size + 1, dtype=np.int64),
-                    np.empty(0, dtype=np.intp),
-                    LaunchStats(),
-                )
-            raise RuntimeError("commit() must run before querying the scene")
-        indptr, indices, stats = self._backend.neighbor_csr(self.centers[slots])
-        indptr, indices = drop_self_hits(
-            slots, np.diff(indptr), self._slot_map[indices], row_counts
-        )
-        return indptr, indices, stats
+        rows = np.searchsorted(self._slot_map, slots)
+        if (rows >= self._slot_map.size).any() or (self._slot_map[rows] != slots).any():
+            raise RuntimeError("commit() must index every query slot before it is queried")
+        indptr, indices, stats = self._backend.neighbor_csr(rows=rows, row_counts=row_counts)
+        stats.simulated_seconds = self.device.charge(stats.counts)
+        return indptr, self._slot_map[indices], stats
 
     def release(self) -> None:
         if self._backend is not None:

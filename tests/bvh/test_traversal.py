@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.adjacency import csr_row_ids
-from repro.bvh import build_lbvh, build_sah, point_query_counts_early_exit, point_query_csr
+from repro.bvh import build_lbvh, build_sah, point_query_counts, point_query_csr
 from repro.geometry.aabb import AABB, aabb_contains_points
 
 coords = st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False)
@@ -105,38 +105,23 @@ class TestPointQueryPairs:
         assert _brute_candidates(bounds, pts).issubset(got)
 
 
-class TestEarlyExitCounts:
+class TestPointQueryCounts:
     def _confirm(self, centers, radius):
         def fn(q, p):
             d = centers[q] - centers[p]
             return np.einsum("ij,ij->i", d, d) <= radius * radius
         return fn
 
-    def test_counts_match_brute_force_without_min_count(self):
+    def test_counts_match_brute_force(self):
         centers, bounds = _scene(150, radius=1.5)
         bvh = build_lbvh(bounds, leaf_size=4)
-        counts, _ = point_query_counts_early_exit(bvh, centers, self._confirm(centers, 1.5))
+        counts, _ = point_query_counts(bvh, centers, self._confirm(centers, 1.5))
         d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         expected = (d2 <= 1.5**2).sum(axis=1)
         np.testing.assert_array_equal(counts, expected)
 
-    def test_min_count_saturates(self):
-        centers, bounds = _scene(200, radius=3.0)
-        bvh = build_lbvh(bounds, leaf_size=4)
-        counts, stats = point_query_counts_early_exit(
-            bvh, centers, self._confirm(centers, 3.0), min_count=3
-        )
-        full, full_stats = point_query_counts_early_exit(
-            bvh, centers, self._confirm(centers, 3.0), min_count=None
-        )
-        # Early exit may undercount but never below min_count when the true
-        # count reaches it, and never overcounts the true value.
-        assert (counts <= full).all()
-        assert (counts[full >= 3] >= 3).all()
-        assert stats.node_visits <= full_stats.node_visits
-
     def test_zero_radius_counts_only_self(self):
         centers, bounds = _scene(80, radius=1e-9)
         bvh = build_lbvh(bounds, leaf_size=2)
-        counts, _ = point_query_counts_early_exit(bvh, centers, self._confirm(centers, 1e-9))
+        counts, _ = point_query_counts(bvh, centers, self._confirm(centers, 1e-9))
         assert (counts == 1).all()  # each point confirms only itself

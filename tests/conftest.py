@@ -39,6 +39,19 @@ def blob_points() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
+def duplicate_points() -> np.ndarray:
+    """Every point of two blobs twice, plus far stacks of 8 and 9 coincident points.
+
+    A query drops only its own id, never a coincident twin, so each copy
+    counts all the others: at ``min_pts = 8`` the stack of 8 stays noise
+    and the stack of 9 is one all-core cluster.
+    """
+    pts, _ = make_blobs(150, centers=np.array([[0.0, 0.0], [3.0, 0.0]]), std=0.2, seed=12)
+    stacks = [np.repeat([[x, 10.0]], k, axis=0) for x, k in ((0.0, 8), (5.0, 9))]
+    return np.vstack([np.repeat(pts, 2, axis=0), *stacks])
+
+
+@pytest.fixture(scope="session")
 def blob_points_3d() -> np.ndarray:
     """Three well-separated Gaussian blobs in 3D."""
     pts, _ = make_blobs(

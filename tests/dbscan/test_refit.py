@@ -51,6 +51,17 @@ class TestRefit:
         with pytest.raises(ValueError):
             fitted.refit(0)
 
+    @pytest.mark.parametrize("subdivisions", [0, 1])
+    def test_refuses_a_triangle_mode_result(self, subdivisions):
+        """Triangle mode's counts miss ε-pairs, so they cannot seed the exact fill."""
+        pts = make_blobs(3000, centers=5, std=0.25, seed=11)[0][:800]
+        result = RTDBSCAN(
+            eps=0.2, min_pts=8, triangle_mode=True, triangle_subdivisions=subdivisions
+        ).fit(pts)
+        assert result.algorithm == "rt-dbscan-triangles"
+        with pytest.raises(ValueError, match="triangle mode's neighbour counts"):
+            result.refit(4)
+
     def test_requires_stored_counts(self, blobs):
         result = RTDBSCAN(eps=0.4, min_pts=5, keep_neighbor_counts=False).fit(blobs)
         with pytest.raises(ValueError, match="neighbor_counts"):

@@ -380,3 +380,47 @@ class TestSphereLaunchTier:
             finder.neighbor_csr(pts[:20] + eps / 7.0)
         finder.release()
         assert calls == []
+
+
+class TestStreamingKernelCalls:
+    """Kernel calls per window update, on the rt scene and every host scene.
+
+    Window 300 over six 100-point drift-blob chunks at ε 0.3 and ``min_pts``
+    5: the first update only inserts, the next two promote existing points,
+    and the last three evict core points and recluster the window.  Every
+    scene seeds each query but the new points' own, so a promotion-only
+    update is the new rows' count and fill plus the promoted rows' fill, and
+    a core-loss update adds the evicted rows' fill and the surviving cores'
+    fill to the new rows' two passes.  ``brute`` keeps its count pass before
+    every fill, as the oracle.
+    """
+
+    @pytest.mark.parametrize("backend, kernel, per_update", [
+        ("rt", "bvh_sphere", [2, 3, 3, 4, 4, 4]),
+        ("grid", "grid_scan", [2, 3, 3, 4, 4, 4]),
+        ("kdtree", "bvh_sphere", [2, 3, 3, 4, 4, 4]),
+        ("brute", "brute_block", [2, 4, 4, 6, 6, 6]),
+    ])
+    def test_calls_per_update(self, monkeypatch, backend, kernel, per_update):
+        calls = []
+        original = getattr(dispatch.NativeKernels, kernel)
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch.NativeKernels, kernel, counting)
+        engine = StreamingRTDBSCAN(eps=0.3, min_pts=5, window=300, backend=backend, native=True)
+        made, reclustered, promoted = [], [], []
+        core_of: dict[int, bool] = {}
+        for chunk in drift_blob_stream(6, 100, seed=8):
+            calls.clear()
+            update = engine.update(chunk)
+            made.append(len(calls))
+            reclustered.append(update.reclustered)
+            now = dict(zip(update.window_arrivals.tolist(), update.core_mask.tolist()))
+            promoted.append(sum(now[a] and not was for a, was in core_of.items() if a in now))
+            core_of = now
+        assert reclustered == [False] * 3 + [True] * 3
+        assert promoted[0] == 0 and min(promoted[1:3]) > 0
+        assert made == per_update

@@ -64,6 +64,11 @@ def blobs():
 
 
 @pytest.fixture(scope="module")
+def duplicates(duplicate_points):
+    return duplicate_points, 0.2
+
+
+@pytest.fixture(scope="module")
 def ngsim():
     pts = generate("ngsim", 500, seed=29)
     return pts, calibrate_eps(pts, 10, 0.5)
@@ -157,7 +162,10 @@ class TestRowsFill:
 
     RT-DBSCAN fills only the core rows, sized by their stage-1 counts, so a
     ``rows=`` fill must be exactly those rows of the full CSR, and free: the
-    stage-2 launch is charged as the stage-1 counts again.
+    stage-2 launch is charged as the stage-1 counts again.  Its stats still
+    carry the counts the launch would charge, which a host streaming scene
+    charges itself.  On the duplicates set each query drops only its own id,
+    never a coincident twin.
     """
 
     @pytest.mark.parametrize("name, kwargs", [
@@ -166,8 +174,9 @@ class TestRowsFill:
     ])
     @pytest.mark.parametrize("native", TIERS)
     @pytest.mark.parametrize("case", ["empty", "unsorted", "every"])
-    def test_rows_fill_is_those_rows_and_free(self, blobs, name, kwargs, native, case):
-        pts, eps = blobs
+    @pytest.mark.parametrize("data", ["blobs", "duplicates"])
+    def test_rows_fill_is_those_rows_and_free(self, request, data, name, kwargs, native, case):
+        pts, eps = request.getfixturevalue(data)
         n = len(pts)
         rows = {
             "empty": np.empty(0, dtype=np.intp),
@@ -179,12 +188,18 @@ class TestRowsFill:
             backend = make_backend(name, pts, eps, device=device, **kwargs)
             try:
                 counts, _ = backend.neighbor_counts()
-                indptr, indices, _ = backend.neighbor_csr()
+                indptr, indices, stats = backend.neighbor_csr()
                 charged = device.total_counts.as_dict()
-                sub_ptr, sub_idx, _ = backend.neighbor_csr(rows=rows, row_counts=counts[rows])
+                sub_ptr, sub_idx, sub_stats = backend.neighbor_csr(
+                    rows=rows, row_counts=counts[rows]
+                )
             finally:
                 backend.release()
         assert device.total_counts.as_dict() == charged
+        assert sub_stats.simulated_seconds == 0.0
+        assert sub_stats.counts.kernel_launches == int(rows.size > 0)
+        if case == "every":
+            assert sub_stats.counts.as_dict() == stats.counts.as_dict()
         ref_ptr, ref_idx = _csr_rows(indptr, indices, rows)
         assert (sub_ptr.dtype, sub_idx.dtype) == (ref_ptr.dtype, ref_idx.dtype)
         assert sub_ptr.tobytes() == ref_ptr.tobytes()

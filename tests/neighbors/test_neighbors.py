@@ -156,36 +156,31 @@ class TestRTNeighborFinder:
 
 
 class TestUniformGrid:
-    def test_query_radius_matches_brute_force(self):
+    def test_stencil_candidates_hold_every_neighbour(self):
+        """CUDA-DClust+'s candidates: the 3^d cells around a point cover its ε-ball."""
         pts = _points(200, seed=7)
         grid = UniformGrid(pts, 0.8)
         expected = brute_force_neighbors(pts, 0.8)
         for i in range(len(pts)):
-            got = grid.query_radius(pts[i], exclude_index=i)
-            assert set(got.tolist()) == set(expected[i].tolist())
-
-    def test_radius_larger_than_cell_raises(self):
-        grid = UniformGrid(_points(20), 0.5)
-        with pytest.raises(ValueError):
-            grid.query_radius(np.zeros(2), radius=1.0)
+            cand = grid.candidate_neighbors(pts[i])
+            assert np.unique(cand).size == cand.size
+            assert set(expected[i].tolist()) | {i} <= set(cand.tolist())
 
     def test_invalid_cell_size_raises(self):
         with pytest.raises(ValueError):
             UniformGrid(_points(10), 0.0)
 
-    def test_points_in_cell_partition(self):
+    def test_cell_table_partitions_the_points(self):
+        """``order`` is a permutation that ``cell_indptr`` splits into the occupied cells."""
         pts = _points(150, seed=8)
         grid = UniformGrid(pts, 1.0)
-        all_points = np.concatenate(
-            [grid.points_in_cell(cid) for cid in grid.cell_table]
-        )
-        assert sorted(all_points.tolist()) == list(range(150))
-
-    def test_candidate_stats(self):
-        grid = UniformGrid(_points(100, seed=9), 0.5)
-        stats = grid.candidate_stats()
-        assert stats["occupied_cells"] == grid.num_occupied_cells
-        assert stats["max_per_cell"] >= 1
+        assert sorted(grid.order.tolist()) == list(range(150))
+        assert grid.cell_indptr[0] == 0 and grid.cell_indptr[-1] == 150
+        sizes = np.diff(grid.cell_indptr)
+        assert (sizes > 0).all() and sizes.size == grid.cell_table.size
+        assert (np.diff(grid.cell_table) > 0).all()
+        cell_of = np.repeat(grid.cell_table, sizes)
+        np.testing.assert_array_equal(grid.cell_ids[grid.order], cell_of)
 
     def test_memory_bytes_positive(self):
         assert UniformGrid(_points(50), 1.0).memory_bytes() > 0
@@ -195,8 +190,8 @@ class TestUniformGrid:
         grid = UniformGrid(pts, 0.9)
         expected = brute_force_neighbors(pts, 0.9)
         for i in (0, 10, 50, 99):
-            got = grid.query_radius(pts[i], exclude_index=i)
-            assert set(got.tolist()) == set(expected[i].tolist())
+            cand = grid.candidate_neighbors(pts[i])
+            assert set(expected[i].tolist()) | {i} <= set(cand.tolist())
 
 
 class TestKNN:

@@ -102,7 +102,7 @@ class TestScenePipeline:
         dev = RTDevice()
         pipe = ScenePipeline(device=dev, geometry=geom)
         pipe.build_accel()
-        program = SphereProgram(centers, 0.8, exclude_self=True)
+        program = SphereProgram(centers, 0.8, self_map=np.arange(len(centers)))
         indptr, indices, stats = pipe.launch_csr_queries(centers, program)
         got = set(zip(csr_row_ids(indptr).tolist(), indices.tolist()))
         d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -115,7 +115,7 @@ class TestScenePipeline:
         centers, geom = _sphere_scene(120, radius=0.6)
         pipe = ScenePipeline(device=RTDevice(), geometry=geom)
         pipe.build_accel()
-        program = SphereProgram(centers, 0.6, exclude_self=True)
+        program = SphereProgram(centers, 0.6, self_map=np.arange(len(centers)))
         counts, count_stats = pipe.launch_count_queries(centers, program)
         indptr, _, csr_stats = pipe.launch_csr_queries(centers, program)
         np.testing.assert_array_equal(counts, np.diff(indptr))
@@ -145,7 +145,7 @@ class TestScenePipeline:
         assert pipe.num_primitives == 150
         assert pipe.build_accel() > 0
         indptr, indices, stats = pipe.launch_csr_queries(
-            centers, SphereProgram(centers, 0.4, exclude_self=True)
+            centers, SphereProgram(centers, 0.4, self_map=np.arange(150))
         )
         assert stats.num_rays == 150
         assert indices.size > 0
@@ -161,7 +161,7 @@ class TestScenePipeline:
         assert pipe.is_triangle_mode
         assert pipe.num_primitives == 40 * 20
         pipe.build_accel()
-        program = SphereProgram(centers, 0.5, exclude_self=True, owners=tris.owners)
+        program = SphereProgram(centers, 0.5, self_map=np.arange(40), owners=tris.owners)
         _, indices, stats = pipe.launch_csr_queries(centers, program)
         # Triangle-mode hits are mapped back to owner data points.
         assert indices.size > 0
@@ -170,14 +170,15 @@ class TestScenePipeline:
 
 
 class TestSphereProgram:
-    def test_exclude_self_flag(self):
+    def test_self_map_drops_only_the_own_id(self):
+        """Three coincident points: a query drops its own id, never a twin."""
         centers = np.zeros((3, 3))
-        with_self = SphereProgram(centers, 1.0, exclude_self=False).confirm(centers)
-        without = SphereProgram(centers, 1.0, exclude_self=True).confirm(centers)
-        q = np.array([0, 1])
-        p = np.array([0, 2])
-        assert with_self(q, p).tolist() == [True, True]
-        assert without(q, p).tolist() == [False, True]
+        external = SphereProgram(centers, 1.0).confirm(centers)
+        dataset = SphereProgram(centers, 1.0, self_map=np.arange(3)).confirm(centers)
+        q = np.array([0, 0, 1])
+        p = np.array([0, 2, 1])
+        assert external(q, p).tolist() == [True, True, True]
+        assert dataset(q, p).tolist() == [False, True, False]
 
     def test_distance_filtering(self):
         centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])

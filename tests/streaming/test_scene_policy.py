@@ -221,6 +221,41 @@ class TestStreamingScene:
         assert s_hits.tobytes() == hits.tobytes()
         assert s_stats.counts.as_dict() == stats.counts.as_dict()
 
+    def test_host_scene_queries_only_committed_slots(self):
+        """A host query is a rows query of the last commit's index."""
+        scene = HostStreamingScene(0.5, RTDevice(), backend="grid")
+        first = scene.add(np.random.default_rng(3).uniform(0, 2, size=(30, 3)))
+        with pytest.raises(RuntimeError, match="commit"):
+            scene.query_csr(first)
+        scene.commit(RefitPolicy())
+        scene.query_csr(first)
+        late = scene.add(np.random.default_rng(4).uniform(0, 2, size=(5, 3)))
+        with pytest.raises(RuntimeError, match="commit"):
+            scene.query_csr(np.concatenate([first[:3], late[:1]]))
+        scene.deallocate(first[:2])
+        with pytest.raises(RuntimeError, match="commit"):
+            scene.query_csr(late)
+        scene.commit(RefitPolicy())
+        with pytest.raises(RuntimeError, match="commit"):
+            scene.query_csr(first[:2])
+        indptr, hits, _ = scene.query_csr(late)
+        assert indptr.shape == (6,) and not np.isin(hits, first[:2]).any()
+        scene.release()
+
+    @pytest.mark.parametrize("backend", ["grid", "kdtree", "brute"])
+    def test_host_scene_charges_its_query(self, backend):
+        """The rows fill charges nothing; the scene charges its stats once."""
+        device = RTDevice()
+        scene = HostStreamingScene(0.5, device, backend=backend)
+        slots = scene.add(np.random.default_rng(5).uniform(0, 2, size=(50, 3)))
+        scene.commit(RefitPolicy())
+        before = device.total_counts.as_dict()
+        _, _, stats = scene.query_csr(slots[::3])
+        after = device.total_counts.as_dict()
+        assert stats.counts.kernel_launches == 1 and stats.simulated_seconds > 0
+        assert {k: after[k] - before[k] for k in after} == stats.counts.as_dict()
+        scene.release()
+
     def test_empty_query_is_free(self):
         scene = self._scene()
         indptr, hits, stats = scene.query_csr(np.empty(0, dtype=np.intp))

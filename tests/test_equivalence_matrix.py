@@ -50,19 +50,8 @@ def eps_boundary_points(eps: float) -> np.ndarray:
     return np.vstack([np.vstack([c, np.repeat(c + offsets, 3, axis=0)]) for c in centres])
 
 
-def duplicate_points() -> np.ndarray:
-    """Every point of two blobs twice, plus two far stacks of coincident points.
-
-    A point's count excludes itself, so the stack of ``MIN_PTS`` copies stays
-    noise and the stack of ``MIN_PTS + 1`` copies is one all-core cluster.
-    """
-    pts, _ = make_blobs(150, centers=np.array([[0.0, 0.0], [3.0, 0.0]]), std=0.2, seed=12)
-    stacks = [np.repeat([[x, 10.0]], k, axis=0) for x, k in ((0.0, MIN_PTS), (5.0, MIN_PTS + 1))]
-    return np.vstack([np.repeat(pts, 2, axis=0), *stacks])
-
-
 @pytest.fixture(scope="module")
-def datasets(boundary_eps):
+def datasets(boundary_eps, duplicate_points):
     pts, _ = make_blobs(
         700, centers=np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 4.0]]), std=0.25, seed=7
     )
@@ -80,7 +69,9 @@ def datasets(boundary_eps):
         # Pairs exactly ε apart: each centre is core only if its 12 offset
         # copies count as neighbours.
         "eps-boundary": (eps_boundary_points(boundary_eps), boundary_eps),
-        "duplicates": (duplicate_points(), 0.2),
+        # With MIN_PTS = 8 the stack of 8 copies stays noise (a point's
+        # count excludes only itself) and the stack of 9 is all core.
+        "duplicates": (duplicate_points, 0.2),
         "blobs-3d": (np.vstack([blobs_3d, noise_3d]), 0.4),
         "sparse": (make_uniform_noise(300, low=0.0, high=100.0, dim=2, seed=15), 0.5),
     }
