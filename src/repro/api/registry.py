@@ -46,16 +46,12 @@ class AlgorithmEntry:
 
     ``factory`` is called as ``factory(eps=..., min_pts=..., device=...,
     **params)`` and must return an object satisfying the
-    :class:`~repro.api.protocol.Clusterer` protocol.  ``instrumented`` is
-    False for reference implementations (the sequential oracle) whose results
-    carry no simulated-time report; the benchmark runner then falls back to
-    wall-clock timing.
+    :class:`~repro.api.protocol.Clusterer` protocol.
     """
 
     name: str
     factory: Callable[..., Any]
     description: str = ""
-    instrumented: bool = True
     supports_backend: bool = False
     supports_tiles: bool = False
     supports_native: bool = False
@@ -119,7 +115,6 @@ def register_algorithm(
     name: str,
     *,
     description: str = "",
-    instrumented: bool = True,
     supports_backend: bool = False,
     supports_tiles: bool = False,
     supports_native: bool = False,
@@ -140,7 +135,6 @@ def register_algorithm(
             name=name.lower(),
             factory=factory,
             description=description,
-            instrumented=instrumented,
             supports_backend=supports_backend,
             supports_tiles=supports_tiles,
             supports_native=supports_native,

@@ -2,7 +2,7 @@
 
 FDBSCAN (with and without early exit), G-DBSCAN and CUDA-DClust+ — the three
 GPU comparators of the paper's evaluation — instrumented with the same
-operation counters and charged to the same simulated device as RT-DBSCAN.
+operation counters and priced by the same simulated device as RT-DBSCAN.
 """
 
 from .cuda_dclust import CUDADClustPlus, cuda_dclust_plus

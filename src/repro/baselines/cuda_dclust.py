@@ -28,7 +28,6 @@ from ..dbscan.labels import labels_from_roots
 from ..dbscan.params import DBSCANParams, DBSCANResult, canonicalize_labels
 from ..geometry.transforms import validate_points
 from ..neighbors.grid import UniformGrid
-from ..perf.cost_model import OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
 
@@ -99,7 +98,6 @@ class CUDADClustPlus(ClustererMixin):
                 self.device.memory.allocate("dclust_collision_matrix", num_chains * num_chains)
                 counts.bytes_moved += pts.nbytes
                 counts.kernel_launches += 2
-                self.device.charge(OpCounts(bytes_moved=pts.nbytes, kernel_launches=2))
 
             # ------------------------------------------------------------ #
             # Chain expansion: neighbourhoods come from the grid; every
@@ -144,14 +142,6 @@ class CUDADClustPlus(ClustererMixin):
                 counts.union_ops += forest.num_unions
                 counts.atomic_ops += collisions + int(border_assigned.sum())
                 counts.kernel_launches += kernel_rounds
-                self.device.charge(
-                    OpCounts(
-                        distance_computations=distance_tests,
-                        union_ops=forest.num_unions,
-                        atomic_ops=collisions + int(border_assigned.sum()),
-                        kernel_launches=kernel_rounds,
-                    )
-                )
 
             # ------------------------------------------------------------ #
             # Collision resolution / final labelling on the host.
@@ -163,7 +153,6 @@ class CUDADClustPlus(ClustererMixin):
                 labels = labels_from_roots(roots, core_mask, assigned_mask=border_assigned)
                 counts.bytes_moved += roots.nbytes
                 counts.kernel_launches += 1
-                self.device.charge(OpCounts(bytes_moved=roots.nbytes, kernel_launches=1))
         finally:
             self.device.memory.free("dclust_grid")
             self.device.memory.free("dclust_candidate_buffers")

@@ -29,7 +29,6 @@ from ..dbscan.formation import form_clusters_csr
 from ..dbscan.params import DBSCANParams, DBSCANResult
 from ..geometry.aabb import AABB
 from ..geometry.transforms import ensure_points3d
-from ..perf.cost_model import OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
 from ..rtcore.programs import SphereProgram
@@ -141,13 +140,6 @@ class FDBSCAN(ClustererMixin):
                 counts.distance_computations += charged_candidates
                 counts.kernel_launches += 1
                 core_mask = neighbor_counts >= self.params.min_pts
-                self.device.charge(
-                    OpCounts(
-                        sm_node_visits=charged_visits,
-                        distance_computations=charged_candidates,
-                        kernel_launches=1,
-                    )
-                )
 
             # ------------------------------------------------------------ #
             # Stage 2 — cluster formation with union-find.  Neighbourhoods
@@ -164,15 +156,6 @@ class FDBSCAN(ClustererMixin):
                 formation = form_clusters_csr(indptr, indices, core_mask)
                 counts.union_ops += formation.num_unions
                 counts.atomic_ops += formation.num_atomics
-                self.device.charge(
-                    OpCounts(
-                        sm_node_visits=stats2.node_visits,
-                        distance_computations=stats2.candidates,
-                        union_ops=formation.num_unions,
-                        atomic_ops=formation.num_atomics,
-                        kernel_launches=1,
-                    )
-                )
                 labels = formation.labels
         finally:
             self.device.memory.free("fdbscan_bvh")

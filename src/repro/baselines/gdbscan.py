@@ -26,7 +26,6 @@ from ..api.protocol import ClustererMixin
 from ..api.registry import register_algorithm
 from ..dbscan.params import NOISE, UNCLASSIFIED, DBSCANParams, DBSCANResult, canonicalize_labels
 from ..geometry.transforms import lift_to_3d, validate_points
-from ..perf.cost_model import OpCounts
 from ..perf.memory import estimate_adjacency_bytes
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
@@ -96,9 +95,6 @@ class GDBSCAN(ClustererMixin):
                 counts.distance_computations += n * n
                 counts.bytes_moved += n * n  # writing the boolean pairwise matrix
                 counts.kernel_launches += 2  # degree kernel + adjacency fill kernel
-                self.device.charge(
-                    OpCounts(distance_computations=n * n, bytes_moved=n * n, kernel_launches=2)
-                )
 
             # ------------------------------------------------------------ #
             # Core identification is a by-product of the degree array.
@@ -106,7 +102,6 @@ class GDBSCAN(ClustererMixin):
             with timer.phase("core_identification") as counts:
                 core_mask = degrees >= self.params.min_pts
                 counts.kernel_launches += 1
-                self.device.charge(OpCounts(kernel_launches=1))
 
             # ------------------------------------------------------------ #
             # Cluster identification: BFS over the ε-graph from every
@@ -141,13 +136,6 @@ class GDBSCAN(ClustererMixin):
                 counts.bytes_moved += edges_traversed * 4
                 counts.kernel_launches += bfs_levels
                 counts.union_ops += edges_traversed
-                self.device.charge(
-                    OpCounts(
-                        bytes_moved=edges_traversed * 4,
-                        kernel_launches=bfs_levels,
-                        union_ops=edges_traversed,
-                    )
-                )
         finally:
             self.device.memory.free("gdbscan_pairwise_matrix")
             self.device.memory.free("gdbscan_adjacency")

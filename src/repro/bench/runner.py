@@ -27,7 +27,7 @@ from ..perf.cost_model import DeviceCostModel
 from ..perf.memory import DeviceMemoryError
 from ..rtcore.device import RTDevice
 
-__all__ = ["RunRecord", "run_single", "run_sweep", "speedup_series"]
+__all__ = ["RunRecord", "fit_single", "run_single", "run_sweep", "speedup_series"]
 
 
 @dataclass
@@ -73,7 +73,16 @@ class RunRecord:
         }
 
 
-def run_single(
+def run_single(algorithm: str, points: np.ndarray, eps: float, min_pts: int,
+               **kwargs) -> RunRecord:
+    """Run one algorithm on one configuration and return its record.
+
+    The record of :func:`fit_single`, which takes the same arguments.
+    """
+    return fit_single(algorithm, points, eps, min_pts, **kwargs)[0]
+
+
+def fit_single(
     algorithm: str,
     points: np.ndarray,
     eps: float,
@@ -83,17 +92,17 @@ def run_single(
     cost_model: DeviceCostModel | None = None,
     backend: str | None = None,
     **kwargs,
-) -> RunRecord:
-    """Run one algorithm on one configuration and return its record.
+) -> tuple[RunRecord, DBSCANResult | None]:
+    """Run one algorithm on one configuration; return its record and result.
 
     ``algorithm`` is resolved from the registry (``KeyError`` lists the
     available names); ``backend`` pins a neighbour backend for algorithms
     that support one, equivalent to the ``"algo@backend"`` spelling.
 
     Out-of-memory conditions on the simulated device are reported as
-    ``status="oom"`` rather than raised, because the paper treats them as
-    data points ("G-DBSCAN and CUDA-DClust+ ran out of memory beyond 100 K
-    points"), not as failures of the harness.
+    ``status="oom"`` with no result rather than raised, because the paper
+    treats them as data points ("G-DBSCAN and CUDA-DClust+ ran out of memory
+    beyond 100 K points"), not as failures of the harness.
     """
     points = np.asarray(points, dtype=np.float64)
     record = RunRecord(
@@ -119,10 +128,10 @@ def run_single(
         record.status = "oom"
         record.error = str(exc)
         record.wall_seconds = time.perf_counter() - start
-        return record
+        return record, None
     record.wall_seconds = time.perf_counter() - start
     _fill_from_result(record, result)
-    return record
+    return record, result
 
 
 def _fill_from_result(record: RunRecord, result: DBSCANResult) -> None:

@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..adjacency import expand_ranges
 from ..geometry.morton import morton_order
 from .node import BVH
 
@@ -82,18 +83,6 @@ class TraversalStats:
             "confirmed": self.confirmed,
             "levels": self.levels,
         }
-
-
-def _expand_leaf_ranges(bvh: BVH, leaf_nodes: np.ndarray) -> np.ndarray:
-    """Indices into ``bvh.prim_indices`` for the slices owned by ``leaf_nodes``."""
-    counts = bvh.prim_count[leaf_nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.intp)
-    starts = bvh.prim_start[leaf_nodes]
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.repeat(starts, counts) + (np.arange(total) - offsets)
-    return idx
 
 
 def _contains(bvh: BVH, points: np.ndarray, q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -149,8 +138,9 @@ def _traverse_chunk(
             leaf_q = q[leaf]
             leaf_nodes = nodes[leaf]
             stats.leaf_visits += int(leaf_nodes.size)
-            idx = _expand_leaf_ranges(bvh, leaf_nodes)
-            rep_q = np.repeat(leaf_q, bvh.prim_count[leaf_nodes])
+            leaf_counts = bvh.prim_count[leaf_nodes]
+            idx = expand_ranges(bvh.prim_start[leaf_nodes], leaf_counts)
+            rep_q = np.repeat(leaf_q, leaf_counts)
             rep_p = bvh.prim_indices[idx]
             stats.candidates += int(rep_p.size)
             on_leaf(rep_q, rep_p)

@@ -33,7 +33,7 @@ import textwrap
 
 import numpy as np
 
-from .api import ClustererSpec, make_clusterer
+from .api import ClustererSpec
 from .api.registry import get_algorithm, get_backend, list_algorithms, list_backends
 from .bench.experiments import (
     get_experiment,
@@ -49,7 +49,7 @@ from .bench.report import (
     format_speedup_table,
     format_time_table,
 )
-from .bench.runner import run_single
+from .bench.runner import fit_single
 from .data.registry import generate, list_datasets
 from .data.stream import list_streams
 
@@ -316,12 +316,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         # Validates the whole combination up front: algorithm name, backend
         # name, algo@backend consistency, tiles/workers support and the
         # numeric parameters.
-        spec = ClustererSpec(
+        ClustererSpec(
             algo=algorithm, eps=args.eps, min_pts=args.min_pts,
             backend=args.backend, tiles=args.tiles, workers=args.workers,
             native=native, native_threads=args.native_threads,
-        )
-        spec.resolve()
+        ).resolve()
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -335,7 +334,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         extra_kwargs["native"] = native
     if args.native_threads is not None:
         extra_kwargs["native_threads"] = args.native_threads
-    record = run_single(
+    record, result = fit_single(
         algorithm, points, args.eps, args.min_pts,
         dataset=args.dataset or args.input, backend=args.backend, **extra_kwargs,
     )
@@ -346,9 +345,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if record.breakdown:
             print()
             print(format_breakdown(record))
-    if args.output and record.status == "ok":
-        # Labels are only materialised when they must be persisted.
-        result = make_clusterer(spec).fit(points)
+    if args.output and result is not None:
         np.savetxt(args.output, result.labels, fmt="%d")
         print(f"labels written to {args.output}")
     return 0 if record.status == "ok" else 1

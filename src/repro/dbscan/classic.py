@@ -108,7 +108,6 @@ def classic_dbscan(
 @register_algorithm(
     "classic",
     description="The sequential Ester et al. oracle (exact, uninstrumented).",
-    instrumented=False,
 )
 @dataclass
 class ClassicDBSCAN(ClustererMixin):

@@ -16,20 +16,20 @@ the simulated RT device):
 Only the core rows of stage 2 are read, so the host fills only those: the
 backend's ``neighbor_csr(rows=core_ids, row_counts=...)`` sizes them from the
 stage-1 counts, and a sphere launch or the grid then runs one fill pass over
-the core points.  The simulated device is still charged the paper's full relaunch,
-as the stage-1 launch's counts a second time (a count launch and a CSR
-launch charge identical operations), so phase counts and simulated seconds
-match a full second pass exactly.  Triangle mode keeps its deduplicated
-stage-1 adjacency and launches once.
+the core points.  The report still records the paper's full relaunch, as the
+stage-1 launch's counts a second time (a count launch and a CSR launch
+perform identical operations), so phase counts and simulated seconds match
+a full second pass exactly.  Triangle mode keeps its deduplicated stage-1
+adjacency and launches once.
 
 The neighbour search is resolved from the backend registry
 (:mod:`repro.neighbors.backend`): ``backend="rt"`` is the paper's RT-core
 pipeline, while ``"grid"``, ``"kdtree"`` and ``"brute"`` run the identical
 Algorithm 3 on host substrates — a CPU fast path and the backend-ablation
 experiment in one mechanism.  Labels are bit-identical across backends; only
-the operations charged to the device cost model differ, so benchmarks can
-report the Section V-D style breakdown (index build vs the two clustering
-stages) for every substrate.
+the operations each phase records differ, so benchmarks can report the
+Section V-D style breakdown (index build vs the two clustering stages) for
+every substrate.
 
 For datasets that outgrow one device (or to use more host cores),
 :class:`~repro.partition.tiled.TiledRTDBSCAN` runs this same pipeline
@@ -48,7 +48,6 @@ from ..api.protocol import ClustererMixin
 from ..api.registry import make_backend, register_algorithm
 from ..geometry.transforms import validate_points
 from ..native import dispatch as native_dispatch
-from ..perf.cost_model import OpCounts
 from ..perf.timing import PhaseTimer
 from ..rtcore.device import RTDevice
 from .formation import form_clusters_csr
@@ -197,7 +196,7 @@ class RTDBSCAN(ClustererMixin):
             # ---------------------------------------------------------- #
             # Stage 2 — cluster formation with union-find (lines 7-18).
             # The paper relaunches every ε-query here; that launch is
-            # charged as the stage-1 counts again, while the host fills
+            # recorded as the stage-1 counts again, while the host fills
             # only the core rows formation reads (triangle mode already
             # holds its deduplicated adjacency from stage 1).
             # ---------------------------------------------------------- #
@@ -209,17 +208,10 @@ class RTDBSCAN(ClustererMixin):
                         rows=rows, row_counts=neighbor_counts[rows]
                     )
                     counts.merge(stats1.counts)
-                    self.device.charge(stats1.counts)
 
                 formation = form_clusters_csr(indptr, indices, core_mask, rows=rows)
                 counts.union_ops += formation.num_unions
                 counts.atomic_ops += formation.num_atomics
-                self.device.charge(
-                    OpCounts(
-                        union_ops=formation.num_unions,
-                        atomic_ops=formation.num_atomics,
-                    )
-                )
                 labels = formation.labels
         finally:
             if finder is not None:

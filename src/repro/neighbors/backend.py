@@ -15,9 +15,9 @@ Stage 2 calls ``neighbor_csr(rows=core_ids, row_counts=counts[core_ids])``:
 only the core points' rows, which is all cluster formation reads.  Those
 rows equal the matching rows of ``neighbor_csr()`` byte for byte; the
 sphere launches (rt, kdtree) and the grid size them from the stage-1 counts
-and run one fill pass.  A rows fill charges the device nothing, and its
-stats carry the counts it would charge: RT-DBSCAN charges the paper's
-stage-2 relaunch itself, and a host streaming scene charges the stats.
+and run one fill pass.  Every query's stats carry its own operation counts
+and their simulated seconds; RT-DBSCAN records the paper's stage-2 relaunch
+as the stage-1 counts instead of the rows fill's.
 Every backend produces the CSR
 **chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
 never materialised as an intermediate; peak memory is one block's candidate
@@ -30,8 +30,8 @@ a uniform grid, a KD-tree and the exact brute-force oracle — so the same
 clustering pipeline runs on any substrate.  All backends return *identical*
 adjacencies (byte-identical CSR arrays, since the form is canonical), which
 is what makes ``RTDBSCAN(backend=...)`` label-equivalent across substrates;
-they differ only in the operations they charge to the device cost model
-(CPU backends charge shader-core work).
+they differ only in the operations their stats record for the device cost
+model (CPU backends record shader-core work).
 """
 
 from __future__ import annotations
@@ -145,21 +145,20 @@ class _HostNeighborBackend:
     def num_prims(self) -> int:
         return self.num_points
 
-    def _stats(self, num_rays: int, candidates: int, node_visits: int, confirmed: int,
-               *, charge: bool) -> LaunchStats:
-        """One query launch's stats, priced at shader-core rates, and charged if asked."""
-        stats = LaunchStats(
+    def _stats(self, num_rays: int, candidates: int, node_visits: int,
+               confirmed: int) -> LaunchStats:
+        """One query launch's stats, priced at shader-core rates."""
+        counts = OpCounts(
+            sm_node_visits=int(node_visits),
+            distance_computations=int(candidates),
+            kernel_launches=1,
+        )
+        return LaunchStats(
             num_rays=int(num_rays),
             confirmed_hits=int(confirmed),
-            counts=OpCounts(
-                sm_node_visits=int(node_visits),
-                distance_computations=int(candidates),
-                kernel_launches=1,
-            ),
+            simulated_seconds=self.device.cost_model.time_s(counts),
+            counts=counts,
         )
-        if charge:
-            stats.simulated_seconds = self.device.charge(stats.counts)
-        return stats
 
     def _resolve_queries(
         self, queries: np.ndarray | None
@@ -193,10 +192,7 @@ class _HostNeighborBackend:
         """
         qpts, self_map = self._resolve_queries(queries)
         counts, _, candidates, node_visits = self._scan(qpts, self_map, False)
-        stats = self._stats(
-            qpts.shape[0], candidates, node_visits, counts.sum(), charge=True
-        )
-        return counts, stats
+        return counts, self._stats(qpts.shape[0], candidates, node_visits, counts.sum())
 
     def neighbor_csr(
         self, queries: np.ndarray | None = None, *,
@@ -205,10 +201,9 @@ class _HostNeighborBackend:
         """Confirmed ε-adjacency in canonical CSR form, built block-by-block.
 
         ``rows`` fills only the rows of those dataset points: CSR row ``i``
-        is point ``rows[i]``, self hit excluded.  Such a fill charges the
-        device nothing, and its stats carry the counts it would charge.
-        Given the queries' hit counts as ``row_counts``, it raises
-        ``ValueError`` unless every row holds that many neighbours.
+        is point ``rows[i]``, self hit excluded.  Given the queries' hit
+        counts as ``row_counts``, it raises ``ValueError`` unless every row
+        holds that many neighbours.
         """
         if rows is None:
             qpts, self_map = self._resolve_queries(queries)
@@ -224,10 +219,7 @@ class _HostNeighborBackend:
         )
         indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        stats = self._stats(
-            qpts.shape[0], candidates, node_visits, indices.size, charge=rows is None
-        )
-        return indptr, indices, stats
+        return indptr, indices, self._stats(qpts.shape[0], candidates, node_visits, indices.size)
 
     def release(self) -> None:
         """Free the simulated device-side index."""

@@ -58,7 +58,7 @@ class RTNeighborFinder:
         pipeline.
     triangle_mode:
         When True the spheres are tessellated into triangles and each
-        confirmed triangle hit is charged an AnyHit call that maps it back
+        confirmed triangle hit costs an AnyHit call that maps it back
         to its sphere (the Section VI-C ablation).
     """
 
@@ -141,15 +141,14 @@ class RTNeighborFinder:
         ``rows`` fills only the rows of those dataset points instead: CSR row
         ``i`` is point ``rows[i]``, self hit excluded, byte for byte row
         ``rows[i]`` of ``neighbor_csr()``.  A sphere launch handed their
-        stage-1 counts as ``row_counts`` runs its fill pass alone.  Such a
-        fill charges the device nothing, and its stats carry the counts it
-        would charge; RT-DBSCAN charges its stage 2 as the stage-1 counts.
+        stage-1 counts as ``row_counts`` runs its fill pass alone; triangle
+        mode checks its deduplicated rows against them.  Either raises
+        ``ValueError`` if the hits differ.  The stats are the fill's own:
+        RT-DBSCAN records its stage 2 as the stage-1 counts.
         """
-        # Triangle hits outnumber the deduplicated counts, so they seed nothing.
-        seed = None if self.triangle_mode else row_counts
         if rows is None:
             return self.pipeline.launch_csr_queries(
-                *self._launch_args(queries), row_counts=seed
+                *self._launch_args(queries), row_counts=row_counts
             )
         if queries is not None:
             raise ValueError("pass either queries or rows, not both")
@@ -157,7 +156,7 @@ class RTNeighborFinder:
         if rows.size == 0:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.intp), LaunchStats()
         return self.pipeline.launch_csr_queries(
-            self.points[rows], self._program(rows), charge=False, row_counts=seed
+            self.points[rows], self._program(rows), row_counts=row_counts
         )
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:

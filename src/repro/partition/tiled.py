@@ -16,7 +16,7 @@ point); the candidate work (distance computations, node visits) *shrinks*,
 because each shard's index covers only its local working set — that
 reduction is the tiling speedup.  Stage 2, as in the untiled pipeline, fills
 only the owned core points' rows (a tile with no core point launches
-nothing) and is charged as the paper's full relaunch: the tile's stage-1
+nothing) and is recorded as the paper's full relaunch: the tile's stage-1
 counts a second time.  What tiling adds is a fixed per-tile cost (pipeline
 setup + kernel launches) and the redundant indexing of halo points, both
 visible in the aggregated report.
@@ -187,9 +187,9 @@ class TiledRTDBSCAN(ClustererMixin):
     eps, min_pts:
         The DBSCAN parameters.
     device:
-        Simulated device the *aggregated* operation counts are charged to;
-        each tile additionally runs on a private device shard with the same
-        cost model (one simulated GPU per shard).
+        Simulated device whose cost model prices the *aggregated* report;
+        each tile runs on a private device shard with the same cost model
+        (one simulated GPU per shard).
     backend:
         Neighbour-search substrate per tile: ``"rt"`` (default), ``"grid"``,
         ``"kdtree"`` or ``"brute"``.  Labels are identical across backends
@@ -335,8 +335,6 @@ class TiledRTDBSCAN(ClustererMixin):
             counts=stage1_counts,
             simulated_seconds=sum(r.stage1_seconds for r in results),
         )
-        self.device.charge(build_counts)
-        self.device.charge(stage1_counts)
 
         # -------------------------------------------------------------- #
         # Boundary merge: exact global stage 2 over the stitched pair set.
@@ -346,10 +344,6 @@ class TiledRTDBSCAN(ClustererMixin):
             counts.merge(stage2_counts)
             counts.union_ops += merged.num_unions
             counts.atomic_ops += merged.num_atomics
-            self.device.charge(
-                OpCounts(union_ops=merged.num_unions, atomic_ops=merged.num_atomics)
-            )
-            self.device.charge(stage2_counts)
         # Stage-2 query time was simulated on the tile shards; the merge's
         # union/atomic work is priced by the parent cost model on top.
         timer.set_last_phase_seconds(

@@ -63,7 +63,8 @@ class OpCounts:
 
         Used wherever per-shard records are stitched into one report — the
         tiled partition layer sums its per-tile stage counts with this so
-        the simulated device totals stay comparable to a monolithic run.
+        its report stays comparable to a monolithic run — and to total a
+        report's phases.
         """
         total = cls()
         for c in counts:

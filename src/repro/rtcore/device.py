@@ -1,18 +1,20 @@
 """Simulated RT-capable GPU device.
 
 ``RTDevice`` stands in for the paper's NVIDIA RTX 2060: it owns a cost model
-(how fast the RT cores and shader cores are), a device-memory tracker (6 GB),
-and a running tally of the operations executed on it.  All higher layers —
-the OptiX-style pipeline, the neighbour backends and the DBSCAN algorithms —
-charge their work to a device instance, which is what makes the simulated
-timings comparable across algorithms.
+(how fast the RT cores and shader cores are) and a device-memory tracker
+(6 GB).  All higher layers — the OptiX-style pipeline, the neighbour
+backends and the DBSCAN algorithms — price their work with the same cost
+model, which is what makes the simulated timings comparable across
+algorithms.  The operations themselves are recorded in each run's phase
+report (:class:`~repro.perf.timing.ExecutionReport`), the one op-count
+ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..perf.cost_model import DEFAULT_COST_MODEL, DeviceCostModel, OpCounts
+from ..perf.cost_model import DEFAULT_COST_MODEL, DeviceCostModel
 from ..perf.memory import MemoryTracker
 
 __all__ = ["RTDevice"]
@@ -38,18 +40,12 @@ class RTDevice:
     has_rt_cores: bool = True
     name: str = "sim-rtx2060"
     memory: MemoryTracker = field(default=None)  # type: ignore[assignment]
-    total_counts: OpCounts = field(default_factory=OpCounts)
 
     def __post_init__(self) -> None:
         if self.memory is None:
             self.memory = MemoryTracker(capacity_bytes=self.cost_model.device_memory_bytes)
 
     # ------------------------------------------------------------------ #
-    def charge(self, counts: OpCounts) -> float:
-        """Account a bag of operations and return its simulated seconds."""
-        self.total_counts.merge(counts)
-        return self.cost_model.time_s(counts)
-
     def accel_build_seconds(self, num_prims: int) -> float:
         """Simulated time to build an acceleration structure over ``num_prims``.
 
@@ -68,21 +64,3 @@ class RTDevice:
         """
         unit = "rt" if self.has_rt_cores else "sm"
         return self.cost_model.refit_time_s(num_prims, unit=unit)
-
-    def node_visit_field(self) -> str:
-        """Which OpCounts field BVH traversal on this device should charge."""
-        return "rt_node_visits" if self.has_rt_cores else "sm_node_visits"
-
-    def reset(self) -> None:
-        """Clear accumulated counters and memory allocations."""
-        self.total_counts = OpCounts()
-        self.memory.reset()
-
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "has_rt_cores": self.has_rt_cores,
-            "memory_used_bytes": self.memory.used_bytes,
-            "memory_capacity_bytes": self.memory.capacity_bytes,
-            "counts": self.total_counts.as_dict(),
-        }

@@ -5,8 +5,8 @@ The pipeline mirrors the structure of Fig. 2 in the paper:
 1.  the user supplies a geometry (ε-spheres, or their triangle tessellation
     for the Section VI-C ablation) together with its bounds program;
 2.  ``build_accel`` hands the per-primitive AABBs to the device, which builds
-    the BVH (hardware-accelerated when RT cores are present) and charges the
-    build cost;
+    the BVH (hardware-accelerated when RT cores are present) and prices the
+    build;
 3.  ``launch_*`` generates one query ray per input point and hands it,
     with the caller's :class:`~repro.rtcore.programs.SphereProgram`, to
     :func:`~repro.rtcore.programs.launch_sphere`, which traverses the BVH in
@@ -18,8 +18,9 @@ The pipeline mirrors the structure of Fig. 2 in the paper:
 
 A launch returns either per-query hit counts or a canonical CSR adjacency
 (see :mod:`repro.adjacency`), together with a :class:`LaunchStats` record of
-the operation counts and the simulated device time, which the DBSCAN
-implementations aggregate into their per-phase reports.
+the operation counts and their simulated device time, which the DBSCAN
+implementations aggregate into their per-phase reports — the one record of
+the operations a run performed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import csr_row_ids, pairs_to_csr
+from ..adjacency import check_row_counts, csr_row_ids, pairs_to_csr
 from ..bvh.lbvh import build_lbvh
 from ..bvh.node import BVH
 from ..bvh.refit import refit as refit_bvh
@@ -111,14 +112,10 @@ class ScenePipeline:
         preserved; only the per-primitive and per-node bounds are recomputed.
         This is the OptiX "accel update" path the streaming subsystem uses
         when a window update moves, adds or parks a small number of spheres.
-        Returns the simulated refit time; the device counters are charged
-        with the per-primitive refit work.
+        Returns the simulated refit time.
         """
         bvh = self._require_accel()
         self.bvh = refit_bvh(bvh, self.geometry.bounds())
-        self.device.charge(
-            OpCounts(bvh_refit_prims=self.num_primitives, kernel_launches=1)
-        )
         return self.device.accel_refit_seconds(self.num_primitives)
 
     # ------------------------------------------------------------------ #
@@ -127,8 +124,8 @@ class ScenePipeline:
             raise RuntimeError("build_accel() must be called before launching rays")
         return self.bvh
 
-    def _count_launch(self, stats: LaunchStats, *, charge: bool = True) -> None:
-        """Record the launch's operation counts, and charge them unless told not to."""
+    def _count_launch(self, stats: LaunchStats) -> None:
+        """Record the launch's operation counts and their simulated seconds."""
         counts = OpCounts(kernel_launches=1)
         if self.device.has_rt_cores:
             counts.rt_node_visits = stats.traversal.node_visits
@@ -137,13 +134,12 @@ class ScenePipeline:
         counts.intersection_calls = stats.intersection_calls
         counts.anyhit_calls = stats.anyhit_calls
         stats.counts = counts
-        if charge:
-            stats.simulated_seconds = self.device.charge(counts)
+        stats.simulated_seconds = self.device.cost_model.time_s(counts)
 
     # ------------------------------------------------------------------ #
     def launch_csr_queries(
         self, points: np.ndarray, program: SphereProgram, *,
-        row_counts: np.ndarray | None = None, charge: bool = True,
+        row_counts: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and return confirmed hits as a CSR adjacency.
 
@@ -153,19 +149,19 @@ class ScenePipeline:
         (``indptr``, ``indices``) — the full candidate pair set never exists
         in memory.  ``row_counts`` (the rows' known hit counts) lets the
         launch run its fill pass alone (see
-        :func:`~repro.rtcore.programs.launch_sphere`); with ``charge=False``
-        the returned stats carry the launch's counts but the device is not
-        charged (and no simulated seconds are recorded).
+        :func:`~repro.rtcore.programs.launch_sphere`).
 
         In triangle mode a sphere is hit through several of its triangles:
-        each confirmed triangle hit is charged one AnyHit call and collapsed
+        each confirmed triangle hit costs one AnyHit call and is collapsed
         to its owning data point, so row ``q`` lists every neighbour once.
+        The deduplicated rows are then checked against ``row_counts``, which
+        cannot seed the launch (triangle hits outnumber them).
         """
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         indptr, indices, traversal = launch_sphere(
             bvh, pts, program, collect=True, chunk_size=self.chunk_size,
-            row_counts=row_counts,
+            row_counts=None if self.is_triangle_mode else row_counts,
         )
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
@@ -176,8 +172,10 @@ class ScenePipeline:
                 csr_row_ids(indptr) * n_owners + self.geometry.owners[indices]
             )
             indptr, indices = pairs_to_csr(keys // n_owners, keys % n_owners, pts.shape[0])
+            if row_counts is not None:
+                check_row_counts(np.diff(indptr), row_counts)
         stats.confirmed_hits = int(indices.size)
-        self._count_launch(stats, charge=charge)
+        self._count_launch(stats)
         return indptr, indices, stats
 
     def launch_count_queries(
@@ -189,7 +187,7 @@ class ScenePipeline:
         the Intersection program increments a per-ray counter and nothing is
         stored.  Triangle mode counts the rows of the deduplicating
         :meth:`launch_csr_queries` (a per-triangle tally would count a
-        neighbour once per triangle hit); it charges the same operations.
+        neighbour once per triangle hit); it records the same operations.
         """
         if self.is_triangle_mode:
             indptr, _, stats = self.launch_csr_queries(points, program)

@@ -38,9 +38,10 @@ update can actually change:
 Scene maintenance (refit vs rebuild) is delegated to
 :class:`~repro.streaming.scene.StreamingScene` and its
 :class:`~repro.streaming.policy.RefitPolicy`; every launch, refit, build,
-union and atomic is charged to the device cost model, so per-update reports
-carry the same Section V-D style breakdown as the batch path.  Scene queries
-run through the zero-materialisation CSR launch
+union and atomic is recorded in the update's phase report and priced by the
+device cost model, so per-update reports carry the same Section V-D style
+breakdown as the batch path.  Scene queries run through the
+zero-materialisation CSR launch
 (:meth:`~repro.streaming.scene.StreamingScene.query_csr`): candidates are
 confirmed chunk-by-chunk inside the traversal and only the window's live
 edge set — the expansion the incremental count/anchor updates actually
@@ -411,7 +412,6 @@ class StreamingRTDBSCAN(ClustererMixin):
             unions, atomics = self._apply_pairs(np.repeat(rows, lens), hits)
             counts.union_ops += unions
             counts.atomic_ops += atomics
-            self.device.charge(OpCounts(union_ops=unions, atomic_ops=atomics))
 
         # ------------------------------------------------------------ #
         # Window labelling.

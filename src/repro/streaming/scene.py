@@ -20,9 +20,9 @@ The buffer starts at ``initial_capacity`` slots and doubles when it fills;
 growth invalidates the tree topology and therefore forces a rebuild, which
 is why a caller that knows its feed sizes the buffer up front with
 :func:`feed_capacity`.  All query launches run
-through the regular :class:`~repro.rtcore.pipeline.ScenePipeline`, so node
-visits, intersection-program calls and kernel launches are charged to the
-device exactly as in the batch path.
+through the regular :class:`~repro.rtcore.pipeline.ScenePipeline`, so their
+stats record node visits, intersection-program calls and kernel launches
+exactly as in the batch path.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class StreamingScene:
     eps:
         Sphere radius (the DBSCAN ε).
     device:
-        Simulated RT device all work is charged to.
+        Simulated RT device whose cost model prices all work.
     builder, leaf_size, chunk_size:
         Acceleration-structure and launch parameters, as in the batch path.
     initial_capacity:
@@ -205,8 +205,8 @@ class StreamingScene:
         """Bring the acceleration structure up to date.
 
         Returns ``(action, simulated_seconds, counts)`` where ``action`` is
-        ``"refit"`` or ``"rebuild"``.  Both paths are charged to the device:
-        per-primitive refit/build work plus one kernel launch.
+        ``"refit"`` or ``"rebuild"``.  Both paths count per-primitive
+        refit/build work plus one kernel launch.
         """
         action = policy.choose(
             cost_model=self.device.cost_model,
@@ -218,12 +218,11 @@ class StreamingScene:
         if action == "rebuild":
             seconds = self._rebuild()
             counts = OpCounts(bvh_build_prims=self.capacity, kernel_launches=1)
-            self.device.charge(counts)
         else:
             # Refit keeps the stale topology, so churn keeps accumulating
             # until a rebuild restores tree quality.
             assert self.pipeline is not None
-            seconds = self.pipeline.refit_accel()  # charges the device itself
+            seconds = self.pipeline.refit_accel()
             counts = OpCounts(bvh_refit_prims=self.capacity, kernel_launches=1)
             self.num_refits += 1
             self.refit_prims_total += self.capacity
@@ -283,7 +282,7 @@ class StreamingScene:
         pair set is confirmed chunk-by-chunk inside the traversal.  A caller
         that holds the slots' exact neighbour counts passes them as
         ``row_counts``: on the native tier the launch then runs its fill
-        pass alone and charges the same traversal, and on either tier it
+        pass alone and records the same traversal, and on either tier it
         raises ``ValueError`` if the hits differ from them.
         """
         slots = np.asarray(slots, dtype=np.intp)
@@ -329,9 +328,9 @@ class HostStreamingScene(StreamingScene):
     every substrate the engine supports.
 
     Host index structures have no refit path: any churn since the last
-    commit forces a rebuild (host builds are cheap — the backends charge
-    their own shader-core build costs to the device).  With no refit tree
-    to keep tight, :meth:`add` hands out slots in arrival order.
+    commit forces a rebuild (host builds are cheap — the backends price
+    their own shader-core builds).  With no refit tree to keep tight,
+    :meth:`add` hands out slots in arrival order.
     """
 
     def __init__(
@@ -389,7 +388,7 @@ class HostStreamingScene(StreamingScene):
         in row space and the slot map is monotone).  ``row_counts`` seed the
         backend's fill, which raises ``ValueError`` if the hits differ: the
         contract of :meth:`StreamingScene.query_csr`.  The fill's stats are
-        charged here, as the query launch.
+        the query launch's.
         """
         slots = np.asarray(slots, dtype=np.intp)
         if slots.size == 0:
@@ -398,7 +397,6 @@ class HostStreamingScene(StreamingScene):
         if (rows >= self._slot_map.size).any() or (self._slot_map[rows] != slots).any():
             raise RuntimeError("commit() must index every query slot before it is queried")
         indptr, indices, stats = self._backend.neighbor_csr(rows=rows, row_counts=row_counts)
-        stats.simulated_seconds = self.device.charge(stats.counts)
         return indptr, self._slot_map[indices], stats
 
     def release(self) -> None:

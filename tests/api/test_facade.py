@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.api.registry import list_algorithms
 from repro.data.synthetic import make_blobs
+from repro.perf.cost_model import OpCounts
 
 EPS, MIN_PTS = 0.4, 5
 
@@ -88,9 +89,11 @@ class TestFacadeBehaviour:
         assert "bvh_build" in result.report.breakdown()
 
     def test_device_is_charged(self, blobs):
-        device = repro.RTDevice()
-        repro.cluster(blobs, eps=EPS, min_pts=MIN_PTS, device=device)
-        assert device.total_counts.rt_node_visits > 0
+        device = repro.RTDevice(has_rt_cores=False, name="facade-device")
+        result = repro.cluster(blobs, eps=EPS, min_pts=MIN_PTS, device=device)
+        assert result.report.metadata["device"] == "facade-device"
+        total = OpCounts.sum(p.counts for p in result.report.phases)
+        assert total.sm_node_visits > 0 and total.rt_node_visits == 0
 
     def test_unknown_algorithm_raises(self, blobs):
         with pytest.raises(KeyError, match="available"):

@@ -48,7 +48,6 @@ class TestRegistryContents:
     def test_entries_carry_capabilities(self):
         assert get_algorithm("rt-dbscan").supports_backend
         assert get_algorithm("streaming-rt-dbscan").supports_backend
-        assert not get_algorithm("classic").instrumented
 
 
 class TestRegistryRoundTrip:

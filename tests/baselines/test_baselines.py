@@ -15,7 +15,7 @@ from repro.dbscan.classic import classic_dbscan
 from repro.dbscan.rt_dbscan import rt_dbscan
 from repro.data.synthetic import make_blobs
 from repro.metrics.agreement import compare_results
-from repro.perf.cost_model import DeviceCostModel
+from repro.perf.cost_model import DeviceCostModel, OpCounts
 from repro.perf.memory import DeviceMemoryError
 from repro.rtcore.device import RTDevice
 
@@ -89,10 +89,10 @@ class TestFDBSCANSpecifics:
         )
 
     def test_uses_shader_core_counters(self, blob_points):
-        dev = RTDevice()
-        FDBSCAN(eps=0.5, min_pts=5, device=dev).fit(blob_points)
-        assert dev.total_counts.sm_node_visits > 0
-        assert dev.total_counts.rt_node_visits == 0
+        got = FDBSCAN(eps=0.5, min_pts=5, device=RTDevice()).fit(blob_points)
+        total = OpCounts.sum(p.counts for p in got.report.phases)
+        assert total.sm_node_visits > 0
+        assert total.rt_node_visits == 0
 
     def test_build_cheaper_than_rt_dbscan_build(self, blob_points):
         f = fdbscan(blob_points, eps=0.5, min_pts=5)
@@ -133,10 +133,9 @@ class TestGDBSCANSpecifics:
         ]
 
     def test_quadratic_distance_cost_charged(self, blob_points):
-        dev = RTDevice()
-        GDBSCAN(eps=0.5, min_pts=5, device=dev).fit(blob_points)
+        got = GDBSCAN(eps=0.5, min_pts=5, device=RTDevice()).fit(blob_points)
         n = len(blob_points)
-        assert dev.total_counts.distance_computations >= n * n
+        assert got.report.phase("graph_construction").counts.distance_computations >= n * n
 
     def test_memory_released_after_run(self, blob_points):
         dev = RTDevice()

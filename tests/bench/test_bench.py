@@ -15,9 +15,10 @@ from repro.bench.report import (
     format_speedup_table,
     format_time_table,
 )
-from repro.bench.runner import RunRecord, run_single, run_sweep, speedup_series
+from repro.bench.runner import RunRecord, fit_single, run_single, run_sweep, speedup_series
 from repro.cli import build_parser, main
 from repro.data.synthetic import make_blobs
+from repro.perf.cost_model import DeviceCostModel
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,24 @@ class TestRunner:
         rec = run_single("g-dbscan", pts, 0.01, 5, dataset="big")
         assert rec.status == "oom"
         assert "memory" in rec.error.lower()
+
+    def test_fit_single_returns_the_recorded_fit(self, small_blobs):
+        rec, result = fit_single("rt-dbscan", small_blobs, 0.4, 5, dataset="blobs")
+        assert rec.status == "ok"
+        assert rec.num_clusters == result.num_clusters == 3
+        assert rec.num_noise == result.num_noise
+        assert rec.num_core == int(result.core_mask.sum())
+        assert rec.simulated_seconds == result.report.total_simulated_seconds
+        again = run_single("rt-dbscan", small_blobs, 0.4, 5, dataset="blobs")
+        again.wall_seconds = rec.wall_seconds
+        assert again.as_dict() == rec.as_dict()
+
+    def test_fit_single_oom_has_no_result(self, small_blobs):
+        tiny = DeviceCostModel(device_memory_bytes=1024)
+        rec, result = fit_single("g-dbscan", small_blobs, 0.4, 5, cost_model=tiny)
+        assert rec.status == "oom"
+        assert "memory" in rec.error.lower()
+        assert result is None
 
     def test_run_sweep_covers_all_configs(self, small_blobs):
         records = run_sweep(

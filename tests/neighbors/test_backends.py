@@ -80,11 +80,12 @@ class TestBackendProtocol:
         device = RTDevice()
         backend = make_backend(name, pts, eps, device=device)
         try:
-            backend.neighbor_counts()
+            _, stats = backend.neighbor_counts()
         finally:
             backend.release()
-        assert device.total_counts.distance_computations > 0
-        assert device.total_counts.rt_node_visits == 0
+        assert stats.counts.distance_computations > 0
+        assert stats.counts.rt_node_visits == 0
+        assert stats.simulated_seconds == device.cost_model.time_s(stats.counts)
 
 
 class TestBackendEquivalence:

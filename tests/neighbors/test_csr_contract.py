@@ -8,9 +8,9 @@ Property suite for the zero-materialisation pair pipeline:
   four backends produce *byte-identical* arrays;
 * ``form_clusters_csr`` output is bit-identical for any row segmentation of
   the same adjacency (including the charged union/atomic counts);
-* on every registered backend, counts equal the CSR row lengths and charge
-  what the CSR launch charges, and a ``rows=`` fill is byte for byte those
-  rows of the full CSR and charges nothing — what stage 2 rests on;
+* on every registered backend, counts equal the CSR row lengths and record
+  what the CSR launch records, and a ``rows=`` fill is byte for byte those
+  rows of the full CSR — what stage 2 rests on;
 * no backend materialises a full ε-pair (or candidate-pair) intermediate:
   the tracemalloc peak of a ``neighbor_csr`` sweep stays within a block-sized
   budget that the legacy pipeline exceeded by an order of magnitude.
@@ -161,11 +161,11 @@ class TestRowsFill:
     """``neighbor_csr(rows=..., row_counts=...)``, the stage-2 fill.
 
     RT-DBSCAN fills only the core rows, sized by their stage-1 counts, so a
-    ``rows=`` fill must be exactly those rows of the full CSR, and free: the
-    stage-2 launch is charged as the stage-1 counts again.  Its stats still
-    carry the counts the launch would charge, which a host streaming scene
-    charges itself.  On the duplicates set each query drops only its own id,
-    never a coincident twin.
+    ``rows=`` fill must be exactly those rows of the full CSR.  Like every
+    launch, its stats carry its own counts, priced by the device cost model
+    (RT-DBSCAN records its stage 2 as the stage-1 counts instead).  On the
+    duplicates set each query drops only its own id, never a coincident
+    twin.
     """
 
     @pytest.mark.parametrize("name, kwargs", [
@@ -175,7 +175,7 @@ class TestRowsFill:
     @pytest.mark.parametrize("native", TIERS)
     @pytest.mark.parametrize("case", ["empty", "unsorted", "every"])
     @pytest.mark.parametrize("data", ["blobs", "duplicates"])
-    def test_rows_fill_is_those_rows_and_free(self, request, data, name, kwargs, native, case):
+    def test_rows_fill_is_those_rows(self, request, data, name, kwargs, native, case):
         pts, eps = request.getfixturevalue(data)
         n = len(pts)
         rows = {
@@ -187,16 +187,15 @@ class TestRowsFill:
         with dispatch.override(native):
             backend = make_backend(name, pts, eps, device=device, **kwargs)
             try:
-                counts, _ = backend.neighbor_counts()
+                counts, count_stats = backend.neighbor_counts()
                 indptr, indices, stats = backend.neighbor_csr()
-                charged = device.total_counts.as_dict()
                 sub_ptr, sub_idx, sub_stats = backend.neighbor_csr(
                     rows=rows, row_counts=counts[rows]
                 )
             finally:
                 backend.release()
-        assert device.total_counts.as_dict() == charged
-        assert sub_stats.simulated_seconds == 0.0
+        for launch in (count_stats, stats, sub_stats):
+            assert launch.simulated_seconds == device.cost_model.time_s(launch.counts)
         assert sub_stats.counts.kernel_launches == int(rows.size > 0)
         if case == "every":
             assert sub_stats.counts.as_dict() == stats.counts.as_dict()
@@ -222,6 +221,20 @@ class TestRowsFill:
                         backend.neighbor_csr(rows=rows, row_counts=bad)
             finally:
                 backend.release()
+
+    def test_triangle_fill_rejects_wrong_counts(self):
+        """Triangle mode cannot seed its launch, but still checks the counts."""
+        pts, _ = make_blobs(400, centers=3, std=0.3, seed=1)
+        rows = np.arange(50)
+        backend = make_backend("rt", pts, 0.3, triangle_mode=True)
+        try:
+            counts, _ = backend.neighbor_counts()
+            sub_ptr, _, _ = backend.neighbor_csr(rows=rows, row_counts=counts[rows])
+            np.testing.assert_array_equal(np.diff(sub_ptr), counts[rows])
+            with pytest.raises(ValueError, match="row_counts"):
+                backend.neighbor_csr(rows=rows, row_counts=counts[rows] + 7)
+        finally:
+            backend.release()
 
     @pytest.mark.skipif(not dispatch.available(), reason="native kernel tier unavailable")
     def test_grid_fit_fills_its_core_rows_in_one_pass(self, monkeypatch):

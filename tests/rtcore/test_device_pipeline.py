@@ -8,7 +8,7 @@ import pytest
 from repro.adjacency import csr_row_ids
 from repro.geometry.sphere import SphereGeometry
 from repro.geometry.triangle import tessellate_spheres
-from repro.perf.cost_model import DeviceCostModel, OpCounts
+from repro.perf.cost_model import DeviceCostModel
 from repro.perf.memory import DeviceMemoryError
 from repro.rtcore.device import RTDevice
 from repro.rtcore.pipeline import ScenePipeline
@@ -26,38 +26,27 @@ class TestRTDevice:
         dev = RTDevice()
         assert dev.memory.capacity_bytes == 6 * 1024**3
 
-    def test_charge_accumulates_counts(self):
-        dev = RTDevice()
-        dev.charge(OpCounts(rt_node_visits=100))
-        dev.charge(OpCounts(rt_node_visits=50, intersection_calls=10))
-        assert dev.total_counts.rt_node_visits == 150
-        assert dev.total_counts.intersection_calls == 10
-
-    def test_charge_returns_simulated_seconds(self):
-        dev = RTDevice()
-        t = dev.charge(OpCounts(rt_node_visits=1_000_000))
-        assert t == pytest.approx(1_000_000 * dev.cost_model.rt_node_visit_ns * 1e-9)
-
     def test_accel_build_unit_depends_on_rt_cores(self):
         with_rt = RTDevice(has_rt_cores=True)
         without = RTDevice(has_rt_cores=False)
         assert with_rt.accel_build_seconds(100_000) > without.accel_build_seconds(100_000)
 
-    def test_node_visit_field(self):
-        assert RTDevice(has_rt_cores=True).node_visit_field() == "rt_node_visits"
-        assert RTDevice(has_rt_cores=False).node_visit_field() == "sm_node_visits"
+    @pytest.mark.parametrize("has_rt_cores, unit", [(True, "rt"), (False, "sm")])
+    def test_accel_refit_priced_on_its_unit_below_a_build(self, has_rt_cores, unit):
+        dev = RTDevice(has_rt_cores=has_rt_cores)
+        refit = dev.accel_refit_seconds(100_000)
+        assert refit == dev.cost_model.refit_time_s(100_000, unit=unit)
+        assert 0 < refit < dev.accel_build_seconds(100_000)
 
-    def test_reset_clears_state(self):
-        dev = RTDevice()
-        dev.charge(OpCounts(union_ops=5))
-        dev.memory.allocate("x", 100)
-        dev.reset()
-        assert dev.total_counts.union_ops == 0
-        assert dev.memory.used_bytes == 0
-
-    def test_summary_keys(self):
-        s = RTDevice().summary()
-        assert {"name", "has_rt_cores", "memory_used_bytes", "counts"} <= set(s)
+    def test_each_device_tracks_its_own_memory(self):
+        small = RTDevice(cost_model=DeviceCostModel(device_memory_bytes=4096))
+        other = RTDevice()
+        assert small.memory.capacity_bytes == 4096
+        small.memory.allocate("x", 1024)
+        assert small.memory.used_bytes == 1024
+        assert other.memory.used_bytes == 0
+        with pytest.raises(DeviceMemoryError):
+            small.memory.allocate("y", 4096)
 
 
 class TestScenePipeline:
@@ -126,9 +115,10 @@ class TestScenePipeline:
         dev = RTDevice(has_rt_cores=False)
         pipe = ScenePipeline(device=dev, geometry=geom)
         pipe.build_accel()
-        pipe.launch_csr_queries(centers, SphereProgram(centers, 0.5))
-        assert dev.total_counts.sm_node_visits > 0
-        assert dev.total_counts.rt_node_visits == 0
+        _, _, stats = pipe.launch_csr_queries(centers, SphereProgram(centers, 0.5))
+        assert stats.counts.sm_node_visits > 0
+        assert stats.counts.rt_node_visits == 0
+        assert stats.simulated_seconds == dev.cost_model.time_s(stats.counts)
 
     def test_memory_exhaustion_raises(self):
         centers, geom = _sphere_scene(1000)

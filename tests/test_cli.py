@@ -51,6 +51,24 @@ class TestClusterCommand:
         assert labels.shape == (80,)
         assert set(np.unique(labels)) == {0, 1}
 
+    def test_label_output_fits_once(self, tmp_path, monkeypatch, capsys):
+        """The printed record and the written labels come from one fit."""
+        from repro.dbscan.rt_dbscan import RTDBSCAN
+
+        fits = []
+        original = RTDBSCAN.fit
+
+        def counting(self, points):
+            fits.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(RTDBSCAN, "fit", counting)
+        labels_file = tmp_path / "labels.txt"
+        assert main(CLUSTER_SMALL + ["--output", str(labels_file)]) == 0
+        capsys.readouterr()
+        assert fits == [500]
+        assert np.loadtxt(labels_file, dtype=int).shape == (500,)
+
     def test_backend_selection(self, capsys):
         assert main(CLUSTER_SMALL + ["--backend", "kdtree", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.perf.cost_model import OpCounts
 
 
 class TestPublicAPI:
@@ -39,10 +40,14 @@ class TestPublicAPI:
 
         points, _ = make_blobs(300, centers=2, std=0.2, seed=3)
         device = repro.RTDevice()
-        repro.RTDBSCAN(eps=0.4, min_pts=5, device=device).fit(points)
-        repro.FDBSCAN(eps=0.4, min_pts=5, device=device).fit(points)
-        counts = device.total_counts
-        assert counts.rt_node_visits > 0 and counts.sm_node_visits > 0
+        rt = repro.RTDBSCAN(eps=0.4, min_pts=5, device=device).fit(points)
+        fd = repro.FDBSCAN(eps=0.4, min_pts=5, device=device).fit(points)
+        assert device.memory.used_bytes == 0
+        rt_counts, fd_counts = (
+            OpCounts.sum(p.counts for p in r.report.phases) for r in (rt, fd)
+        )
+        assert rt_counts.rt_node_visits > 0 and rt_counts.sm_node_visits == 0
+        assert fd_counts.sm_node_visits > 0 and fd_counts.rt_node_visits == 0
 
     def test_default_cost_model_exported(self):
         assert repro.DEFAULT_COST_MODEL.device_memory_bytes == 6 * 1024**3
